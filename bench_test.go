@@ -292,11 +292,12 @@ func BenchmarkAblationContentionNoise(b *testing.B) {
 // --- Engine and runner perf baselines ---
 
 // BenchmarkSchedulerEvents measures the discrete-event engine's hot
-// path — park, heap push/pop, targeted wakeup, service — with varying
-// numbers of live workers contending for the schedule. ns/op is the
-// cost of one simulated shared-hardware event; events/s is the
-// engine's throughput. This is the baseline the O(log n) parked-worker
-// heap is held to.
+// path — park, heap push/pop, service, baton handoff — with varying
+// numbers of live workers contending for the schedule. One worker is
+// always its own successor and never switches goroutines; more workers
+// add a channel handoff whenever the next event is another's. ns/op is
+// the cost of one simulated shared-hardware event; events/s is the
+// engine's throughput.
 func BenchmarkSchedulerEvents(b *testing.B) {
 	for _, nw := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("workers%d", nw), func(b *testing.B) {

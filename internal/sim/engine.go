@@ -4,156 +4,162 @@
 //
 // Kernels are ordinary Go functions running in goroutines. Every
 // shared-hardware interaction (an L2/HBM access, a warp-parallel
-// probe, a streaming touch) is one *event*: the worker parks, the
-// engine waits until every live worker is parked, services the parked
-// worker with the smallest local clock (ties broken by worker ID), and
-// resumes it. Because exactly one worker executes between parks, the
-// simulation is fully serialized and deterministic: identical seeds
-// give identical cycle-for-cycle runs, including all timing jitter.
+// probe, a streaming touch) is one *event*: the worker parks with a
+// pending request, and the parked worker with the smallest local clock
+// (ties broken by worker ID) is serviced and resumed next. Because
+// exactly one worker executes at a time, the simulation is fully
+// serialized and deterministic: identical seeds give identical
+// cycle-for-cycle runs, including all timing jitter.
 //
-// Scheduling is O(log n) per event: parked workers sit in an indexed
-// min-heap keyed by (clock, id) — see sched.go — and every wakeup is a
-// targeted Signal to a single goroutine. The engine goroutine is woken
-// exactly once per scheduling round, by the last worker to park; each
-// resumed worker is woken through its own condition variable. No
-// broadcast is ever needed.
+// There is no host loop and no lock. Control is a baton, and only its
+// holder touches engine or hardware state. A parking worker pushes
+// itself onto the parked heap (an indexed min-heap keyed by
+// (clock, id), see sched.go), pops the minimal worker, services that
+// worker's request and hands it the baton over its wake channel. When
+// the minimal worker is the parker itself — a lone kernel, or one
+// running behind its peers' clocks — it just carries on, with no
+// goroutine switch at all. A finishing worker dispatches the next one
+// the same way; the last one signals the engine's done channel. The
+// channel handoffs are also the happens-before edges that make the
+// serialized state race-free.
 //
 // This mirrors how the attacks see the machine: each thread block has
 // its own clock() domain, while the L2s, HBM and NVLink are globally
 // shared and ordered.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
-
-// worker states.
-const (
-	stateRunning = iota
-	stateParked
-	stateDone
-)
-
-// engine serializes workers by simulated time.
+// engine serializes workers by simulated time. Its state belongs to
+// the baton holder: a worker goroutine during a run, the caller of
+// Machine.Run (or Spawn, Reset) between runs.
 type engine struct {
-	mu sync.Mutex
-	// hostCond wakes the engine goroutine in runAll. Its only waiter
-	// is the host, so workers Signal it (never Broadcast), and only
-	// when they are the last runner to park or finish.
-	hostCond *sync.Cond
-	workers  map[int]*Worker
-	parked   parkedHeap
-	running  int // workers currently executing user code
-	nextID   int
-	eventNo  uint64
+	parked  parkedHeap
+	nextID  int
+	eventNo uint64
+	// done ends a run: nil once the last worker finishes, or the value
+	// a worker goroutine panicked with, for runAll to re-raise.
+	done chan any
 }
 
 func newEngine() *engine {
-	e := &engine{workers: make(map[int]*Worker)}
-	e.hostCond = sync.NewCond(&e.mu)
-	return e
+	return &engine{done: make(chan any, 1)}
 }
 
 // reset rewinds the engine to its freshly constructed state so worker
 // IDs and event numbers replay identically on a reused machine. It is
 // only legal between runs, when no workers exist.
 func (e *engine) reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.workers) != 0 || e.running != 0 || e.parked.len() != 0 {
+	if e.parked.len() != 0 {
 		panic("sim: engine reset with live workers")
 	}
 	e.nextID = 0
 	e.eventNo = 0
 }
 
-// register adds a worker in the running state and starts its body.
+// register parks a new worker at its launch clock with no pending
+// request and starts its goroutine, which waits for the baton before
+// touching any shared state.
 func (e *engine) register(w *Worker, body func(*Worker)) {
-	e.mu.Lock()
 	w.id = e.nextID
 	e.nextID++
-	w.state = stateRunning
 	w.heapIdx = noHeapIdx
-	e.workers[w.id] = w
-	e.running++
-	// Every registered worker may be parked simultaneously (a launch
-	// storm parks all blocks at clock 0); size the heap for that now so
-	// the event loop never grows it.
-	e.parked.grow(len(e.workers))
-	e.mu.Unlock()
+	w.wake = make(chan struct{}, 1)
+	// Every live worker may be parked at once (a launch storm parks all
+	// blocks at clock 0): the parked ones, this one, and the spawning
+	// baton holder. Size the heap for that now so the event loop never
+	// grows it.
+	e.parked.grow(e.parked.len() + 2)
+	e.parked.push(w)
 
 	go func() {
 		defer func() {
-			e.mu.Lock()
-			w.state = stateDone
-			delete(e.workers, w.id)
-			e.running--
-			if e.running == 0 {
-				e.hostCond.Signal()
+			// A panic from the body, or from servicing an event while
+			// this goroutine held the baton, surfaces from Machine.Run.
+			if r := recover(); r != nil {
+				e.done <- r
 			}
-			e.mu.Unlock()
 		}()
-		// A freshly registered worker must not touch shared state
-		// before the engine schedules it: park once at clock 0 (or at
-		// its launch clock) with a no-op request.
-		w.yield(nil)
+		growStack()
+		<-w.wake
 		body(w)
+		w.done = true
+		e.pass(e.dispatch())
 	}()
 }
 
-// yield parks the worker with a pending request and blocks until the
-// engine has serviced it. The last runner to park hands control to the
-// engine with a single targeted signal.
+// stackPad sizes growStack's frame so a worker's goroutine stack grows
+// from the runtime's 2 KB start straight to 8 KB, which holds a kernel
+// body plus, while the worker holds the baton, the whole event-service
+// call chain.
+const stackPad = 6 << 10
+
+// growStack grows a fresh worker goroutine's stack in one step, while
+// it is still empty and cheap to copy. Otherwise, in a process whose
+// runtime has not yet learned a larger starting size, every kernel's
+// stack grows by doubling mid-event, each time copying the deep
+// service call chain.
+//
+//go:noinline
+func growStack() {
+	var pad [stackPad]byte
+	keep(pad[:])
+}
+
+// keep stops the compiler from eliding growStack's pad.
+//
+//go:noinline
+func keep([]byte) {}
+
+// yield parks the worker with a pending request and returns once the
+// request has been serviced. The parking worker dispatches the next
+// event itself; it blocks only when that event belongs to another
+// worker, until the baton comes back.
 //
 //spylint:hotpath
 func (w *Worker) yield(req *request) {
 	e := w.eng
-	e.mu.Lock()
 	w.pending = req
-	w.state = stateParked
 	e.parked.push(w)
-	e.running--
-	if e.running == 0 {
-		e.hostCond.Signal()
+	if next := e.dispatch(); next != w {
+		next.wake <- struct{}{}
+		<-w.wake
 	}
-	for w.state == stateParked {
-		w.cond.Wait()
-	}
-	e.mu.Unlock()
 }
 
-// runAll drives the engine until no workers remain. It must be called
-// from the host goroutine after workers are registered.
+// dispatch pops the (clock, id)-minimal parked worker, services its
+// pending request and returns it as the next baton holder, or nil when
+// no worker is left. Only the baton holder may call it.
 //
 //spylint:hotpath
-func (e *engine) runAll(service func(*Worker, *request)) {
-	e.mu.Lock()
-	for {
-		// Wait until every live worker is parked.
-		for e.running > 0 {
-			e.hostCond.Wait()
-		}
-		if len(e.workers) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		w := e.parked.popMin()
-		if w == nil {
-			panic(fmt.Sprintf("sim: scheduler invariant violated: %d workers, none parked", len(e.workers)))
-		}
-		req := w.pending
+func (e *engine) dispatch() *Worker {
+	w := e.parked.popMin()
+	if w == nil {
+		return nil
+	}
+	// A fresh worker's first, request-less pop is an event too: the
+	// contention window in jitterFor counts it.
+	e.eventNo++
+	if req := w.pending; req != nil {
 		w.pending = nil
-		e.eventNo++
-		// Service while holding the engine lock: exactly one worker
-		// mutates shared hardware state at a time, in clock order.
-		if req != nil {
-			service(w, req) //spylint:allow hotalloc the only service implementation is Machine.service, itself vetted as a //spylint:hotpath root
-		}
-		w.state = stateRunning
-		e.running++
-		w.cond.Signal()
-		// Wait for this worker to park again (or finish) before
-		// considering the next event, preserving total order.
+		w.m.service(w, req)
+	}
+	return w
+}
+
+// pass hands the baton to next, or ends the run when next is nil.
+func (e *engine) pass(next *Worker) {
+	if next == nil {
+		e.done <- nil
+		return
+	}
+	next.wake <- struct{}{}
+}
+
+// runAll runs every registered worker to completion. It hands out the
+// first baton and waits for the run to end, re-raising on the caller's
+// goroutine any panic from a worker body or from an event's service.
+func (e *engine) runAll() {
+	e.pass(e.dispatch())
+	if r := <-e.done; r != nil {
+		panic(r)
 	}
 }

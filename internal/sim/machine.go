@@ -97,7 +97,7 @@ const contentionWindow = 96
 
 // touchRec records one worker's most recent event on a device's L2.
 // Holding the *Worker rather than its ID lets the liveness check read
-// w.state directly instead of probing the engine's worker map.
+// w.done directly.
 type touchRec struct {
 	w  *Worker
 	ev uint64
@@ -333,13 +333,13 @@ type request struct {
 type Worker struct {
 	eng     *engine
 	m       *Machine
-	cond    *sync.Cond
+	wake    chan struct{} // receives the engine's baton
 	id      int
 	name    string
 	dev     arch.DeviceID
 	clock   arch.Cycles
-	state   int
-	heapIdx int // position in the engine's parked heap, or noHeapIdx
+	done    bool // the body returned
+	heapIdx int  // position in the engine's parked heap, or noHeapIdx
 
 	pending *request
 	res     *gpu.BlockReservation
@@ -363,7 +363,6 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 		return nil, err
 	}
 	w := &Worker{m: m, eng: m.eng, dev: dev, name: name, res: res}
-	w.cond = sync.NewCond(&m.eng.mu)
 	m.eng.register(w, func(w *Worker) {
 		defer w.res.Release()
 		body(w)
@@ -373,15 +372,16 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 
 // Run drives the machine until every spawned worker finishes. It is
 // the host-side synchronization point (cudaDeviceSynchronize across
-// the whole box). Fabric port clocks reset per run: kernel clocks all
-// start at zero, so backlog left by a previous run's kernels (whose
-// clocks ran far ahead) would otherwise stall this run's first bursts
-// for phantom cycles.
+// the whole box), and a kernel's panic — its own, or a device fault
+// raised while servicing its events — is re-raised here. Fabric port
+// clocks reset per run: kernel clocks all start at zero, so backlog
+// left by a previous run's kernels (whose clocks ran far ahead) would
+// otherwise stall this run's first bursts for phantom cycles.
 func (m *Machine) Run() {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	m.topo.ResetPortClocks()
-	m.eng.runAll(m.service)
+	m.eng.runAll()
 }
 
 // --- Worker-facing operations (called from kernel goroutines) ---
@@ -512,7 +512,7 @@ func (w *Worker) Yield() {
 	w.yield(&w.req)
 }
 
-// --- Event service (engine goroutine, lock held) ---
+// --- Event service (baton holder) ---
 
 // homeBurst tallies one event's remote lines per home device so the
 // whole event can reserve fabric ports as a single burst. Almost every
@@ -686,7 +686,7 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 		if r.w == w {
 			r.ev = now
 			stamped = true
-		} else if r.w.state == stateDone || now-r.ev > contentionWindow {
+		} else if r.w.done || now-r.ev > contentionWindow {
 			// Only live workers within the recency window count: a
 			// worker from a finished kernel cannot contend for ports.
 			continue

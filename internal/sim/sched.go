@@ -1,9 +1,8 @@
 // The parked-worker scheduler queue: an indexed binary min-heap keyed
-// by (clock, id). Every simulated L2/HBM access parks its worker once,
-// so push/pop here is the hottest path in the whole simulator; the
-// heap replaces an older per-event sort of all worker IDs, taking the
-// scheduling step from O(n log n) with an allocation per event to an
-// allocation-free O(log n).
+// by (clock, id), and the engine's only data structure. Every
+// simulated L2/HBM access pushes its worker here and the baton holder
+// pops the next event from it, so push/pop is the simulator's hottest
+// scheduling step: allocation-free and O(log n).
 package sim
 
 // parkedHeap orders parked workers by (clock, id), the same total
@@ -82,8 +81,7 @@ func (h *parkedHeap) verify() {
 }
 
 // popMin removes and returns the (clock, id)-minimal parked worker.
-// Returns nil on an empty heap; the engine treats that as an invariant
-// violation.
+// Returns nil on an empty heap, which ends the engine's run.
 //
 //spylint:hotpath
 func (h *parkedHeap) popMin() *Worker {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"spybox/internal/arch"
@@ -99,6 +100,31 @@ func TestPeerAccessRequired(t *testing.T) {
 	m.Spawn(1, "illegal", 0, func(w *Worker) {
 		w.TouchCG(pa)
 	})
+	m.Run()
+}
+
+func TestKernelPanicSurfacesFromRun(t *testing.T) {
+	// A kernel panicking mid-run among live peers must not take the
+	// process down from its own goroutine: Run re-raises the very same
+	// value on the caller's.
+	m := quiet(15)
+	fault := errors.New("kernel fault")
+	for i := 0; i < 4; i++ {
+		i := i
+		m.Spawn(0, "kernel", 0, func(w *Worker) {
+			for j := 0; j < 10; j++ {
+				w.TouchCG(arch.MakePA(0, uint64(0x10000*(i+1)+j*arch.CacheLineSize)))
+				if i == 2 && j == 5 {
+					panic(fault)
+				}
+			}
+		})
+	}
+	defer func() {
+		if r := recover(); r != fault {
+			t.Errorf("Run re-raised %v, want %v", r, fault)
+		}
+	}()
 	m.Run()
 }
 

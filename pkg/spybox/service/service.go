@@ -108,9 +108,6 @@ type Service struct {
 	wake chan struct{} // nudges an idle worker after Submit
 	stop chan struct{}
 	wg   sync.WaitGroup
-
-	smu      sync.Mutex
-	sessions map[sessionKey]*spybox.Session
 }
 
 var _ spybox.JobService = (*Service)(nil)
@@ -162,7 +159,6 @@ func New(opts Options) (*Service, error) {
 		change:     make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
-		sessions:   map[sessionKey]*spybox.Session{},
 	}
 	recs, err := s.store.List()
 	if err != nil {
@@ -194,68 +190,38 @@ func (s *Service) notifyChangeLocked() {
 	s.change = make(chan struct{})
 }
 
-// sessionKey identifies one pooled Session by the normalized Config
-// fields that matter to it.
-type sessionKey struct {
-	seed     uint64
-	scale    string
-	arch     string
-	parallel int
-}
-
 // normalize validates a spec up front and canonicalizes it: every
 // experiment ID resolved (one error lists them all, with the valid
 // names), the scale parsed and respelled, the seed defaulted, and the
 // arch replaced by its resolved profile name so equivalent specs share
-// cache entries and pooled sessions. Nothing runs on a bad spec.
+// cache entries. Nothing runs on a bad spec.
 func normalize(spec spybox.JobSpec) (spybox.JobSpec, error) {
 	ids, err := spybox.ExpandIDs(spec.Experiments...)
 	if err != nil {
 		return spybox.JobSpec{}, err
 	}
 	spec.Experiments = ids
-	scale, err := spybox.ParseScale(spec.Scale)
+	sess, err := open(spec, nil)
 	if err != nil {
 		return spybox.JobSpec{}, err
 	}
-	spec.Scale = scale.String()
-	if spec.Seed == 0 {
-		spec.Seed = spybox.DefaultSeed
-	}
-	sess, err := spybox.Open(spybox.Config{
-		Seed: spec.Seed, Scale: scale, Arch: spec.Arch, Parallel: spec.Parallel,
-	})
-	if err != nil {
-		return spybox.JobSpec{}, err
-	}
-	spec.Arch = sess.Profile().Name
+	cfg := sess.Config()
+	spec.Seed, spec.Scale, spec.Arch = cfg.Seed, cfg.Scale.String(), sess.Profile().Name
 	return spec, nil
 }
 
-// session returns the pooled Session for a normalized spec, opening
-// it on first use with the service's event dispatcher. Sessions are
-// safe for concurrent Run calls, so one session serves every job that
-// shares its config.
-func (s *Service) session(spec spybox.JobSpec) (*spybox.Session, error) {
-	k := sessionKey{seed: spec.Seed, scale: spec.Scale, arch: spec.Arch, parallel: spec.Parallel}
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if sess := s.sessions[k]; sess != nil {
-		return sess, nil
-	}
+// open opens the Session a spec runs on, delivering its progress
+// events to events. A Session is only a validated Config plus its
+// resolved profile, so every job opens its own.
+func open(spec spybox.JobSpec, events func(spybox.Event)) (*spybox.Session, error) {
 	scale, err := spybox.ParseScale(spec.Scale)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := spybox.Open(spybox.Config{
+	return spybox.Open(spybox.Config{
 		Seed: spec.Seed, Scale: scale, Arch: spec.Arch, Parallel: spec.Parallel,
-		Events: s.publish,
+		Events: events,
 	})
-	if err != nil {
-		return nil, err
-	}
-	s.sessions[k] = sess
-	return sess, nil
 }
 
 // Submit implements spybox.JobService: validate, persist as queued
@@ -506,7 +472,7 @@ func (s *Service) Watch(id spybox.JobID) (<-chan spybox.Event, func(), error) {
 }
 
 // publish fans a session event out to the job's subscribers. It is
-// the Events callback of every pooled session, so ev.Job identifies
+// the Events callback of every job's session, so ev.Job identifies
 // the run.
 func (s *Service) publish(ev spybox.Event) {
 	if ev.Job == "" {
@@ -608,7 +574,7 @@ func (s *Service) observer() {
 }
 
 // runJob executes one claimed job: each experiment answered from the
-// cache when possible, simulated on the pooled session otherwise,
+// cache when possible, simulated on the job's own session otherwise,
 // with the record updated after every experiment so observers (and
 // the store) always hold the latest progress. A renewal goroutine
 // keeps the lease alive; losing it (the process stalled past the TTL
@@ -684,7 +650,7 @@ func (s *Service) runJob(claimed Record) {
 	runErr := putErr
 	if runErr == nil {
 		var sess *spybox.Session
-		sess, runErr = s.session(spec)
+		sess, runErr = open(spec, s.publish)
 		for _, exptID := range spec.Experiments {
 			if runErr != nil {
 				break
