@@ -238,7 +238,7 @@ func BenchmarkAblationProbeParallelism(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			err := a.Proc.Launch("bench-trial", 0, func(k *cudart.Kernel) {
 				k.TouchCG(target)
-				k.ProbeSet(vas)
+				k.ProbeSet(nil, vas)
 				k.TouchCG(target)
 			})
 			if err != nil {
@@ -393,18 +393,19 @@ func BenchmarkMachineReset(b *testing.B) {
 
 // BenchmarkProbeAlloc measures the steady-state warp-probe event with
 // -benchmem as the zero-allocation gate: the embedded request, the
-// grow-only lats/hits scratch, and the slice-based contention tracker
-// together must keep the per-event alloc count at 0 (the worker's
-// one-time spawn and first-probe scratch growth amortize out over N).
+// caller-owned latency buffer passed back into every probe, and the
+// slice-based contention tracker together must keep the per-event
+// alloc count at 0 (the worker's one-time spawn amortizes out over N).
 func BenchmarkProbeAlloc(b *testing.B) {
 	m := sim.MustNewMachine(sim.Options{Seed: 0xa110c, NoiseOff: true})
 	pas := make([]arch.PA, 16)
 	for i := range pas {
 		pas[i] = arch.MakePA(0, uint64(0x300000+i*arch.CacheLineSize))
 	}
+	lats := make([]arch.Cycles, len(pas))
 	if _, err := m.Spawn(0, "probe", 0, func(w *sim.Worker) {
 		for i := 0; i < b.N; i++ {
-			w.ProbeLines(pas)
+			lats, _ = w.ProbeLines(lats, pas)
 		}
 	}); err != nil {
 		b.Fatal(err)

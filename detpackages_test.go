@@ -18,7 +18,7 @@ import (
 var detExemptions = map[string]string{
 	"spybox/internal/arch":     "constants and pure value types; nothing to perturb",
 	"spybox/internal/xrand":    "the randomness source itself; seeded determinism is its own contract, pinned by its statistical tests",
-	"spybox/internal/cudart":   "thin veneer over sim workers; determinism is inherited, and its scratch contract is what scratchalias checks",
+	"spybox/internal/cudart":   "thin veneer over sim workers; determinism is inherited, and probe buffers are caller-owned",
 	"spybox/internal/victim":   "victim programs execute on sim workers; their determinism is the simulator's",
 	"spybox/internal/plot":     "renders reports after trials complete; droppederr covers it instead",
 	"spybox/pkg/spybox/report": "result container shared with the service layer; droppederr covers it instead",

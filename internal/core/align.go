@@ -50,17 +50,19 @@ func AlignPair(trojan, spy *Attacker, te, se EvictionSet, cfg AlignConfig) (avg 
 		cfg = DefaultAlignConfig()
 	}
 	if err := trojan.Proc.Launch("align-trojan", 0, func(k *cudart.Kernel) {
+		var lats []arch.Cycles
 		for i := 0; i < cfg.TrojanLoops; i++ { // Alg. 2 outer loop
-			k.ProbeSet(te.Lines) // lines 5-13: chase the set
-			k.Busy(4)            // line 15: dummy operation
+			lats, _ = k.ProbeSet(lats, te.Lines) // lines 5-13: chase the set
+			k.Busy(4)                            // line 15: dummy operation
 		}
 	}); err != nil {
 		return 0, false, err
 	}
 	var timer2 float64 // Alg. 2's accumulated per-access average
 	if err := spy.Proc.Launch("align-spy", 0, func(k *cudart.Kernel) {
+		var lats []arch.Cycles
 		for i := 0; i < cfg.SpyLoops; i++ {
-			lats, _ := k.ProbeSet(se.Lines) // lines 5-13
+			lats, _ = k.ProbeSet(lats, se.Lines) // lines 5-13
 			var timer1 arch.Cycles
 			for _, l := range lats {
 				timer1 += l // line 11: accumulate access cycles
@@ -89,8 +91,9 @@ func AlignSweep(trojan, spy *Attacker, te EvictionSet, candidates []EvictionSet,
 	}
 	stop := false
 	if err := trojan.Proc.Launch("sweep-trojan", 0, func(k *cudart.Kernel) {
+		var lats []arch.Cycles
 		for !stop {
-			k.ProbeSet(te.Lines)
+			lats, _ = k.ProbeSet(lats, te.Lines)
 			k.Busy(4)
 		}
 	}); err != nil {
@@ -99,12 +102,13 @@ func AlignSweep(trojan, spy *Attacker, te EvictionSet, candidates []EvictionSet,
 	avgs = make([]float64, len(candidates))
 	if err := spy.Proc.Launch("sweep-spy", 0, func(k *cudart.Kernel) {
 		defer func() { stop = true }()
+		var lats []arch.Cycles
 		for ci, cand := range candidates {
-			k.ProbeSet(cand.Lines) // warm the candidate (prime)
+			lats, _ = k.ProbeSet(lats, cand.Lines) // warm the candidate (prime)
 			var sum float64
 			n := 0
 			for p := 0; p < probesPer; p++ {
-				lats, _ := k.ProbeSet(cand.Lines)
+				lats, _ = k.ProbeSet(lats, cand.Lines)
 				for _, l := range lats {
 					sum += float64(l)
 					n++

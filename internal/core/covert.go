@@ -189,11 +189,12 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 		// burn heavy arithmetic for '0'. The paper's trojan uses one
 		// warp (32 threads) per thread block.
 		err := c.Trojan.Proc.Launch(fmt.Sprintf("trojan-set%d", si), 0, func(k *cudart.Kernel) {
+			var lats []arch.Cycles
 			for bi, b := range stream {
 				epochEnd := arch.Cycles(bi+1) * T
 				for k.Now() < epochEnd {
 					if b == 1 {
-						k.ProbeSet(pair.TE.Lines)
+						lats, _ = k.ProbeSet(lats, pair.TE.Lines)
 						k.Busy(2)
 					} else {
 						k.BusyHeavy(8)
@@ -217,9 +218,9 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 					*stop = true
 				}
 			}()
-			k.ProbeSet(pair.SE.Lines) // initial prime
+			lats, _ := k.ProbeSet(nil, pair.SE.Lines) // initial prime
 			for k.Now() < endTime {
-				lats, _ := k.ProbeSet(pair.SE.Lines)
+				lats, _ = k.ProbeSet(lats, pair.SE.Lines)
 				misses := 0
 				var sum float64
 				for _, l := range lats {

@@ -117,7 +117,7 @@ func (a *Attacker) trialProbe(target arch.VA, chase []arch.VA) (evicted bool, er
 	err = a.Proc.Launch("evset-trial", 0, func(k *cudart.Kernel) {
 		k.TouchCG(target)
 		if len(chase) > 0 {
-			k.ProbeSet(chase)
+			k.ProbeSet(nil, chase)
 		}
 		lat = k.TouchCG(target)
 		k.SharedWrite()
@@ -478,9 +478,9 @@ func (a *Attacker) Aliased(s1, s2 EvictionSet) (bool, error) {
 	union := append(append([]arch.VA(nil), s1.Lines...), s2.Lines...)
 	var lats []arch.Cycles
 	err := a.Proc.Launch("alias-check", 0, func(k *cudart.Kernel) {
-		k.ProbeSet(union)
-		k.ProbeSet(union) // settle LRU state
-		lats, _ = k.ProbeSet(s1.Lines)
+		lats, _ = k.ProbeSet(lats, union)
+		lats, _ = k.ProbeSet(lats, union) // settle LRU state
+		lats, _ = k.ProbeSet(lats, s1.Lines)
 		k.SharedWrite()
 	})
 	if err != nil {

@@ -105,7 +105,7 @@ func (a *Attacker) InferReplacementPolicy(conflictPages []int, ways, trials int)
 			for i := range fill {
 				rev[i] = fill[len(fill)-1-i]
 			}
-			lats, _ = k.ProbeSet(rev)
+			lats, _ = k.ProbeSet(nil, rev)
 			k.SharedWrite()
 		})
 		if err != nil {
@@ -194,7 +194,7 @@ func (a *Attacker) ValidateEvictionSet(conflictPages []int, maxLines int) ([]Val
 		var lat arch.Cycles
 		err := a.Proc.Launch("fig5", 0, func(kr *cudart.Kernel) {
 			kr.TouchCG(target)
-			kr.ProbeSet(chase)
+			kr.ProbeSet(nil, chase)
 			lat = kr.TouchCG(target)
 			kr.SharedWrite()
 		})

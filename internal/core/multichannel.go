@@ -89,11 +89,12 @@ func (mc *MultiChannel) Transmit(msg []byte) (*Transmission, error) {
 		li, ln := li, ln
 		stream := streams[li]
 		err := mc.Trojan.Proc.Launch(fmt.Sprintf("mtrojan-%d", li), 0, func(k *cudart.Kernel) {
+			var lats []arch.Cycles
 			for bi, b := range stream {
 				epochEnd := arch.Cycles(bi+1) * T
 				for k.Now() < epochEnd {
 					if b == 1 {
-						k.ProbeSet(ln.pair.TE.Lines)
+						lats, _ = k.ProbeSet(lats, ln.pair.TE.Lines)
 						k.Busy(2)
 					} else {
 						k.BusyHeavy(8)
@@ -107,9 +108,9 @@ func (mc *MultiChannel) Transmit(msg []byte) (*Transmission, error) {
 		boundary := ln.spy.Thr.Boundary(ln.spy.Remote())
 		endTime := arch.Cycles(len(stream))*T + T/2
 		err = ln.spy.Proc.Launch(fmt.Sprintf("mspy-%d", li), arch.MaxSharedMemPerBlock, func(k *cudart.Kernel) {
-			k.ProbeSet(ln.pair.SE.Lines)
+			lats, _ := k.ProbeSet(nil, ln.pair.SE.Lines)
 			for k.Now() < endTime {
-				lats, _ := k.ProbeSet(ln.pair.SE.Lines)
+				lats, _ = k.ProbeSet(lats, ln.pair.SE.Lines)
 				misses := 0
 				var sum float64
 				for _, l := range lats {

@@ -114,9 +114,10 @@ func (a *Attacker) launchMonitor(sets []EvictionSet, opts MonitorOptions, res *M
 		if opts.DoneFlag != nil {
 			defer func() { *opts.DoneFlag = true }()
 		}
+		var lats []arch.Cycles
 		for s := 0; s < settle; s++ {
 			for _, set := range sets {
-				k.ProbeSet(set.Lines)
+				lats, _ = k.ProbeSet(lats, set.Lines)
 			}
 		}
 		start := k.Now()
@@ -125,7 +126,7 @@ func (a *Attacker) launchMonitor(sets []EvictionSet, opts MonitorOptions, res *M
 				break
 			}
 			for si, set := range sets {
-				lats, _ := k.ProbeSet(set.Lines)
+				lats, _ = k.ProbeSet(lats, set.Lines)
 				misses := 0
 				for _, l := range lats {
 					if float64(l) > boundary {

@@ -191,16 +191,6 @@ func (k *Kernel) LdCG(va arch.VA) (uint64, arch.Cycles) {
 	return k.w.LoadCG(pa)
 }
 
-// LdCGHit is LdCG plus the ground-truth L2 hit flag — instrumentation
-// only; attack logic classifies by latency like on real hardware.
-func (k *Kernel) LdCGHit(va arch.VA) (uint64, arch.Cycles, bool) {
-	pa, err := k.p.space.Translate(va)
-	if err != nil {
-		panic(err)
-	}
-	return k.w.LoadCGHit(pa)
-}
-
 // TouchCG moves va's line through the L2 without reading data.
 func (k *Kernel) TouchCG(va arch.VA) arch.Cycles {
 	pa, err := k.p.space.Translate(va)
@@ -210,31 +200,12 @@ func (k *Kernel) TouchCG(va arch.VA) arch.Cycles {
 	return k.w.TouchCG(pa)
 }
 
-// TouchCGHit is TouchCG plus the ground-truth L2 hit flag.
-func (k *Kernel) TouchCGHit(va arch.VA) (arch.Cycles, bool) {
-	pa, err := k.p.space.Translate(va)
-	if err != nil {
-		panic(err)
-	}
-	return k.w.TouchCGHit(pa)
-}
-
 // ProbeSet accesses all given addresses as one warp-parallel probe and
-// returns per-line latencies plus the aggregate time. The latency
-// slice is scratch owned by this kernel's worker — valid until the
-// next probe; copy it out to retain it across probes.
-//
-//spylint:scratch
-func (k *Kernel) ProbeSet(vas []arch.VA) (lats []arch.Cycles, total arch.Cycles) {
-	lats, _, total = k.ProbeSetHits(vas)
-	return lats, total
-}
-
-// ProbeSetHits is ProbeSet plus per-line ground-truth hit flags; both
-// slices are worker-owned scratch with ProbeSet's lifetime rule.
-//
-//spylint:scratch
-func (k *Kernel) ProbeSetHits(vas []arch.VA) (lats []arch.Cycles, hits []bool, total arch.Cycles) {
+// returns per-line latencies plus the aggregate time. Like
+// sim.Worker.ProbeLines, it overwrites dst from index 0 (growing it if
+// needed) and returns the result; the caller owns it and should pass
+// it back as the next probe's dst.
+func (k *Kernel) ProbeSet(dst []arch.Cycles, vas []arch.VA) (lats []arch.Cycles, total arch.Cycles) {
 	if cap(k.pas) < len(vas) {
 		k.pas = make([]arch.PA, len(vas))
 	}
@@ -246,7 +217,7 @@ func (k *Kernel) ProbeSetHits(vas []arch.VA) (lats []arch.Cycles, hits []bool, t
 		}
 		pas[i] = pa
 	}
-	return k.w.ProbeLinesHits(pas)
+	return k.w.ProbeLines(dst, pas)
 }
 
 // Stream touches count lines from va with the given byte stride as a

@@ -187,7 +187,7 @@ func TestProbeSetTranslatesAll(t *testing.T) {
 	vas := []arch.VA{buf, buf + 128, buf + 256}
 	var lats []arch.Cycles
 	p.Launch("probe", 0, func(k *Kernel) {
-		lats, _ = k.ProbeSet(vas)
+		lats, _ = k.ProbeSet(nil, vas)
 	})
 	m.Run()
 	if len(lats) != 3 {

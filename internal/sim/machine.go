@@ -302,8 +302,7 @@ const (
 // request is one shared-hardware event. Each Worker embeds exactly one
 // and reuses it for every op it issues: the event loop is fully
 // serialized, so a request is only ever live between one yield and the
-// matching service, and reuse keeps the hot path allocation-free. The
-// lats/hits result slices are grow-only scratch owned by the worker.
+// matching service, and reuse keeps the hot path allocation-free.
 type request struct {
 	kind opKind
 
@@ -311,8 +310,9 @@ type request struct {
 	pa       arch.PA
 	loadData bool
 
-	// opProbe
-	pas []arch.PA
+	// opProbe: per-line latencies land in lats, the caller's buffer
+	pas  []arch.PA
+	lats []arch.Cycles
 
 	// opStream
 	base   arch.PA
@@ -322,9 +322,6 @@ type request struct {
 	// results
 	value   uint64
 	lat     arch.Cycles
-	hit     bool
-	lats    []arch.Cycles
-	hits    []bool
 	misses  int
 	touched []int // set indices touched (opStream, optional)
 }
@@ -426,38 +423,23 @@ func (w *Worker) SharedWrite() {
 // word at physical address pa, returning the loaded value and the
 // access latency. One engine event.
 func (w *Worker) LoadCG(pa arch.PA) (uint64, arch.Cycles) {
-	v, lat, _ := w.LoadCGHit(pa)
-	return v, lat
-}
-
-// LoadCGHit is LoadCG plus the ground-truth L2 hit flag, for callers
-// (tests, diagnostics) that should not re-derive hit/miss from latency
-// thresholds. Attack code models the real machine and must keep using
-// latency classification.
-func (w *Worker) LoadCGHit(pa arch.PA) (uint64, arch.Cycles, bool) {
 	req := &w.req
 	req.kind = opLoad
 	req.pa = pa
 	req.loadData = true
 	w.yield(req)
-	return req.value, req.lat, req.hit
+	return req.value, req.lat
 }
 
 // TouchCG is LoadCG without data (for kernels that only shape cache
 // state); it still moves the line through the L2.
 func (w *Worker) TouchCG(pa arch.PA) arch.Cycles {
-	lat, _ := w.TouchCGHit(pa)
-	return lat
-}
-
-// TouchCGHit is TouchCG plus the ground-truth L2 hit flag.
-func (w *Worker) TouchCGHit(pa arch.PA) (arch.Cycles, bool) {
 	req := &w.req
 	req.kind = opLoad
 	req.pa = pa
 	req.loadData = false
 	w.yield(req)
-	return req.lat, req.hit
+	return req.lat
 }
 
 // ProbeLines accesses every line in pas as one warp-parallel probe:
@@ -465,28 +447,21 @@ func (w *Worker) TouchCGHit(pa arch.PA) (arch.Cycles, bool) {
 // charge models memory-level parallelism (max latency plus issue
 // intervals plus per-miss serialization). One engine event.
 //
-// The returned slice is the worker's own scratch buffer: it is valid
-// until this worker's next ProbeLines/ProbeLinesHits call, and callers
-// that retain latencies across probes must copy them out.
-//
-//spylint:scratch
-func (w *Worker) ProbeLines(pas []arch.PA) (lats []arch.Cycles, total arch.Cycles) {
-	lats, _, total = w.ProbeLinesHits(pas)
-	return lats, total
-}
-
-// ProbeLinesHits is ProbeLines plus the per-line ground-truth hit
-// flags. Both returned slices are worker-owned scratch with the same
-// lifetime rule as ProbeLines.
-//
-//spylint:scratch
-func (w *Worker) ProbeLinesHits(pas []arch.PA) (lats []arch.Cycles, hits []bool, total arch.Cycles) {
+// The per-line latencies overwrite dst from index 0, in the manner of
+// strconv's Append functions: lats is dst[:0] extended by len(pas)
+// entries, growing dst only when it is too small. The caller owns lats;
+// passing it back as the next probe's dst keeps probing allocation-free.
+func (w *Worker) ProbeLines(dst []arch.Cycles, pas []arch.PA) (lats []arch.Cycles, total arch.Cycles) {
+	if cap(dst) < len(pas) {
+		dst = make([]arch.Cycles, len(pas))
+	}
+	lats = dst[:len(pas)]
 	req := &w.req
 	req.kind = opProbe
-	req.pas = pas
+	req.pas, req.lats = pas, lats
 	w.yield(req)
-	req.pas = nil
-	return req.lats, req.hits, req.lat
+	req.pas, req.lats = nil, nil
+	return lats, req.lat
 }
 
 // StreamRange touches count lines starting at physical address base
@@ -554,7 +529,7 @@ func (m *Machine) service(w *Worker, req *request) {
 	case opYield:
 		// no-op: the park/resume itself is the point
 	case opLoad:
-		lat, hit := m.accessLine(w, req.pa)
+		lat, _ := m.accessLine(w, req.pa)
 		if home := req.pa.HomeDevice(); m.hasFabric && home != w.dev {
 			// A single load observes its own port backlog directly.
 			lat += m.topo.ReserveBurst(w.dev, home, 1, w.clock)
@@ -562,24 +537,15 @@ func (m *Machine) service(w *Worker, req *request) {
 		if req.loadData {
 			req.value = m.phys.ReadU64(req.pa)
 		}
-		req.hit = hit
 		req.lat = lat
 		w.clock += lat
 	case opProbe:
-		if n := len(req.pas); cap(req.lats) < n {
-			req.lats = make([]arch.Cycles, n) //spylint:allow hotalloc grow-only scratch: capacity is kept on the pooled request and reused by every later probe
-			req.hits = make([]bool, n)        //spylint:allow hotalloc grow-only scratch: capacity is kept on the pooled request and reused by every later probe
-		} else {
-			req.lats = req.lats[:n]
-			req.hits = req.hits[:n]
-		}
 		var maxLat arch.Cycles
 		bursts := w.bursts[:0]
 		misses := 0
 		for i, pa := range req.pas {
 			lat, hit := m.accessLine(w, pa)
 			req.lats[i] = lat
-			req.hits[i] = hit
 			if !hit {
 				misses++
 			}

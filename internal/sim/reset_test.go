@@ -29,7 +29,7 @@ func resetWorkload(t *testing.T, m *Machine) []arch.Cycles {
 		for i := range pas {
 			pas[i] = arch.MakePA(0, uint64(0x40000+i*arch.CacheLineSize))
 		}
-		lats, total := w.ProbeLines(pas)
+		lats, total := w.ProbeLines(nil, pas)
 		local = append(local, lats...)
 		local = append(local, total)
 		_, st := w.StreamRange(arch.MakePA(0, 0x80000), 32, arch.CacheLineSize)

@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spybox/pkg/spybox"
@@ -80,13 +79,6 @@ type Options struct {
 	BatchLimit int
 }
 
-// jobRT is the runtime (never persisted) state of a job this process
-// is running; it exists from claim to terminal write.
-type jobRT struct {
-	cancel context.CancelFunc
-	done   chan struct{} // closed when this process is done with the job
-}
-
 // Service is the in-process JobService implementation.
 type Service struct {
 	store      Store
@@ -99,7 +91,7 @@ type Service struct {
 	batchLimit int
 
 	mu     sync.Mutex
-	rt     map[spybox.JobID]*jobRT                         // jobs running in this process
+	rt     map[spybox.JobID]*claim                         // jobs running in this process
 	subs   map[spybox.JobID]map[chan spybox.Event]struct{} // Watch streams
 	change chan struct{}                                   // closed+replaced on every local state change
 	seq    int
@@ -154,7 +146,7 @@ func New(opts Options) (*Service, error) {
 		leaseTTL:   opts.LeaseTTL,
 		poll:       opts.Poll,
 		batchLimit: opts.BatchLimit,
-		rt:         map[spybox.JobID]*jobRT{},
+		rt:         map[spybox.JobID]*claim{},
 		subs:       map[spybox.JobID]map[chan spybox.Event]struct{}{},
 		change:     make(chan struct{}),
 		wake:       make(chan struct{}, 1),
@@ -357,17 +349,15 @@ func (s *Service) cancelLocked(id spybox.JobID) error {
 	if rec.Status.State.Terminal() {
 		return nil
 	}
-	if rt := s.rt[id]; rt != nil {
-		// Running here (or claimed and about to): the run's context
-		// stops it, and the worker persists partials and finishes.
-		if rt.cancel != nil {
-			rt.cancel()
-		}
+	if c := s.rt[id]; c != nil {
+		// Running here: the run's context stops it, and the worker
+		// persists partials and finishes.
+		c.cancel(nil)
 		return nil
 	}
 	// Queued, or running in a peer process. Terminal Put clears any
 	// lease; a peer mid-run loses its lease and stands down without
-	// writing (see the leaseLost guard in runJob).
+	// writing (see claim.finish).
 	if rec.Status.State == spybox.JobRunning || rec.Lease.live(time.Now()) {
 		rec.Status.Error = "cancelled while running elsewhere"
 	} else {
@@ -398,11 +388,11 @@ func (s *Service) Delete(ctx context.Context, id spybox.JobID) error {
 		s.mu.Unlock()
 		return err
 	}
-	rt := s.rt[id]
+	c := s.rt[id]
 	s.mu.Unlock()
-	if rt != nil {
+	if c != nil {
 		select {
-		case <-rt.done:
+		case <-c.done:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
@@ -496,24 +486,6 @@ func (s *Service) closeSubsLocked(id spybox.JobID) {
 	delete(s.subs, id)
 }
 
-// finishLocked closes out this process's runtime state for a job that
-// reached a terminal state (or was lost to a peer): done is closed so
-// Delete stops blocking, every subscriber stream ends, waiters are
-// woken, and the rt entry is dropped so a long-lived server doesn't
-// accumulate one per job ever run. Callers hold s.mu.
-func (s *Service) finishLocked(id spybox.JobID) {
-	if rt := s.rt[id]; rt != nil {
-		select {
-		case <-rt.done:
-		default:
-			close(rt.done)
-		}
-		delete(s.rt, id)
-	}
-	s.closeSubsLocked(id)
-	s.notifyChangeLocked()
-}
-
 // worker claims and runs jobs until Close. An idle worker sleeps
 // until a local Submit nudges it or the poll interval elapses (a peer
 // process may have submitted into the shared store).
@@ -525,9 +497,8 @@ func (s *Service) worker() {
 			return
 		default:
 		}
-		rec, ok, err := s.store.Claim(s.owner, s.leaseTTL)
-		if err == nil && ok {
-			s.runJob(rec)
+		if c, ok := s.claimNext(); ok {
+			s.runJob(c)
 			continue // drain: look for more before sleeping
 		}
 		timer := time.NewTimer(s.poll)
@@ -543,7 +514,7 @@ func (s *Service) worker() {
 }
 
 // observer closes Watch streams for jobs that a peer process finished
-// (locally run jobs close theirs through finishLocked, immediately).
+// (locally run jobs close theirs as the run ends, immediately).
 // It only touches the store while streams are open.
 func (s *Service) observer() {
 	defer s.wg.Done()
@@ -557,7 +528,7 @@ func (s *Service) observer() {
 			s.mu.Lock()
 			for id := range s.subs {
 				if s.rt[id] != nil {
-					continue // running here: finishLocked will close it
+					continue // running here: runJob will close it
 				}
 				rec, ok, err := s.store.Get(id)
 				if err != nil {
@@ -576,73 +547,36 @@ func (s *Service) observer() {
 // runJob executes one claimed job: each experiment answered from the
 // cache when possible, simulated on the job's own session otherwise,
 // with the record updated after every experiment so observers (and
-// the store) always hold the latest progress. A renewal goroutine
-// keeps the lease alive; losing it (the process stalled past the TTL
-// and a peer reclaimed the job, or a peer cancelled it) aborts the
-// run, and the terminal write is skipped — whoever holds the lease
-// now owns the record.
-func (s *Service) runJob(claimed Record) {
-	id := claimed.Status.ID
+// the store) always hold the latest progress. Every path ends the
+// claim through release or finish, which own the lease.
+func (s *Service) runJob(c *claim) {
+	id := c.id
 	s.mu.Lock()
 	select {
 	case <-s.stop:
 		// Draining: return the claim so the job stays queued for a
 		// peer or the next start.
 		s.mu.Unlock()
-		_ = s.store.Release(id, s.owner)
+		c.release()
 		return
 	default:
 	}
 	rec, ok, err := s.store.Get(id)
-	if err != nil {
-		// The claim is real even when the record cannot be read back
-		// (a transient store error): return it rather than squat on
-		// the lease until the TTL expires.
+	if err != nil || !ok || rec.Status.State.Terminal() {
+		// A transient read error, or the job was deleted or cancelled
+		// between claim and here: give the claim back rather than squat
+		// on the lease until the TTL expires.
 		s.mu.Unlock()
-		_ = s.store.Release(id, s.owner)
+		c.release()
 		return
 	}
-	if !ok || rec.Status.State.Terminal() {
-		// Deleted or cancelled between claim and here; the record is
-		// gone or a terminal Put already cleared the lease.
-		s.mu.Unlock()
-		//spylint:allow leaselife deleted or terminal record: the lease died with it, nothing to release
-		return
-	}
-	//spylint:allow ctxflow the job outlives the submitting request; cancellation routes through Cancel/Delete and lease loss, not a caller ctx
-	ctx, cancel := context.WithCancel(context.Background())
-	rt := &jobRT{cancel: cancel, done: make(chan struct{})}
-	s.rt[id] = rt
+	s.rt[id] = c
 	rec.Status.State = spybox.JobRunning
 	rec.Status.Done = 0
 	rec.Status.CacheHits = 0
 	rec.Status.Error = ""
 	putErr := s.store.Put(rec)
 	s.mu.Unlock()
-	defer cancel()
-
-	// Renew the lease while the job runs. A failed renewal means the
-	// job is no longer ours; stop simulating and stand down.
-	var leaseLost atomic.Bool
-	renewStop := make(chan struct{})
-	renewDone := make(chan struct{})
-	go func() {
-		defer close(renewDone)
-		ticker := time.NewTicker(s.leaseTTL / 3)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-renewStop:
-				return
-			case <-ticker.C:
-				if err := s.store.Renew(id, s.owner, s.leaseTTL); err != nil {
-					leaseLost.Store(true)
-					cancel()
-					return
-				}
-			}
-		}
-	}()
 
 	spec := rec.Status.Spec
 	var results []*report.Result
@@ -651,13 +585,13 @@ func (s *Service) runJob(claimed Record) {
 	if runErr == nil {
 		var sess *spybox.Session
 		sess, runErr = open(spec, s.publish)
-		for _, exptID := range spec.Experiments {
+		for i, exptID := range spec.Experiments {
 			if runErr != nil {
 				break
 			}
-			if ctx.Err() != nil {
+			if c.ctx.Err() != nil {
 				runErr = &spybox.InterruptedError{
-					Completed: len(results), Total: len(spec.Experiments), Cause: ctx.Err(),
+					Completed: len(results), Total: len(spec.Experiments), Cause: c.ctx.Err(),
 				}
 				break
 			}
@@ -668,7 +602,7 @@ func (s *Service) runJob(claimed Record) {
 				s.publishCached(id, exptID)
 			} else {
 				var rs []*report.Result
-				rs, runErr = sess.RunJob(ctx, id, exptID)
+				rs, runErr = sess.RunJob(c.ctx, id, exptID)
 				results = append(results, rs...)
 				if runErr != nil {
 					break
@@ -679,38 +613,20 @@ func (s *Service) runJob(claimed Record) {
 			}
 			// Progress checkpoint. No s.mu: while the job is running,
 			// this goroutine is the record's only writer (cancellation
-			// routes through rt.cancel, Delete blocks on rt.done, and
-			// stores serialize internally). Results stay in memory
-			// until the terminal write — a restart re-runs non-terminal
-			// jobs from scratch anyway, so persisting partials per
-			// experiment would only bloat the job log with every
-			// completed payload.
-			if leaseLost.Load() {
+			// routes through the claim's context, Delete blocks on
+			// c.done, and stores serialize internally). Results stay in
+			// memory until the terminal write — a restart re-runs
+			// non-terminal jobs from scratch anyway, so persisting
+			// partials per experiment would only bloat the job log with
+			// every completed payload. The last experiment needs no
+			// checkpoint: the terminal write follows at once, and the
+			// store write saved pays for finish's ownership check.
+			if i < len(spec.Experiments)-1 && !c.progress(len(results), cacheHits) {
 				break
-			}
-			if cur, ok, _ := s.store.Get(id); ok {
-				cur.Status.Done = len(results)
-				cur.Status.CacheHits = cacheHits
-				_ = s.store.Put(cur)
 			}
 		}
 	}
-	close(renewStop)
-	<-renewDone
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.finishLocked(id)
-	if leaseLost.Load() {
-		// A peer owns (or cancelled) the job now; writing a terminal
-		// record here could clobber its run. Stand down silently.
-		return
-	}
-	rec, ok, _ = s.store.Get(id)
-	if !ok { // deleted mid-run; runtime state still needs closing out
-		//spylint:allow leaselife record deleted mid-run: the lease died with it, nothing to write or release
-		return
-	}
 	rec.Status.Done = len(results)
 	rec.Status.CacheHits = cacheHits
 	rec.Results = results
@@ -725,7 +641,14 @@ func (s *Service) runJob(claimed Record) {
 		rec.Status.State = spybox.JobFailed
 		rec.Status.Error = runErr.Error()
 	}
-	_ = s.store.Put(rec)
+	// Close out the run whether or not the job is still ours: Delete
+	// stops blocking, every subscriber stream ends, waiters wake, and
+	// the rt entry goes so a long-lived server keeps none per job run.
+	c.finish(rec, func() {
+		delete(s.rt, id)
+		s.closeSubsLocked(id)
+		s.notifyChangeLocked()
+	})
 }
 
 // publishCached emits the experiment start/done pair for a cache hit,
@@ -755,10 +678,8 @@ func (s *Service) Close(ctx context.Context) error {
 	if !s.closed {
 		s.closed = true
 		close(s.stop)
-		for _, rt := range s.rt {
-			if rt.cancel != nil {
-				rt.cancel() // the worker persists partials, then finishes the rt
-			}
+		for _, c := range s.rt {
+			c.cancel(nil) // the worker persists partials, then finishes the run
 		}
 		// End Watch streams on jobs this process isn't running —
 		// nothing here will ever feed them — and wake every Wait so it

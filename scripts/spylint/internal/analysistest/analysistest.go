@@ -7,7 +7,7 @@
 // module's package walk never sees it) plus Go sources annotated with
 // expectations:
 //
-//	w.lats = lats // want `storing probe scratch in field`
+//	x := make([]int, 4) // want `make allocates on the hot path rooted at Step`
 //
 // Each expectation is a regexp in backquotes or double quotes; several
 // may follow one `// want`. Every diagnostic must match an expectation

@@ -2,10 +2,6 @@
 //
 //	//spylint:allow <analyzer> <reason>   suppress <analyzer> findings
 //	                                      on this line or the next
-//	//spylint:scratch                     (in a func's doc comment)
-//	                                      the function returns scratch
-//	                                      owned by its receiver; see
-//	                                      the scratchalias analyzer
 //	//spylint:hotpath                     (in a func's doc comment)
 //	                                      the function and everything
 //	                                      it calls intra-module must be
@@ -26,7 +22,7 @@ const directivePrefix = "//spylint:"
 
 // directive is one parsed //spylint: comment.
 type directive struct {
-	kind     string // "allow", "scratch", or "hotpath"
+	kind     string // "allow" or "hotpath"
 	analyzer string // allow only
 	reason   string // allow only
 	pos      token.Position
@@ -102,7 +98,7 @@ func (ix *directiveIndex) problems(knownAnalyzers map[string]bool) []Diagnostic 
 	}
 	for _, d := range ix.all {
 		switch d.kind {
-		case "scratch", "hotpath":
+		case "hotpath":
 			// no operands
 		case "allow":
 			switch {
@@ -114,16 +110,11 @@ func (ix *directiveIndex) problems(knownAnalyzers map[string]bool) []Diagnostic 
 				bad(d, "//spylint:allow "+d.analyzer+" needs a reason: exemptions must say why")
 			}
 		default:
-			bad(d, "unknown //spylint: directive kind "+d.kind+" (want allow, scratch, or hotpath)")
+			bad(d, "unknown //spylint: directive kind "+d.kind+" (want allow or hotpath)")
 		}
 	}
 	return out
 }
-
-// HasScratchDirective reports whether fn's doc comment carries a
-// //spylint:scratch line, declaring that the function's reference-
-// typed results alias receiver-owned scratch storage.
-func HasScratchDirective(fn *ast.FuncDecl) bool { return hasDocDirective(fn, "scratch") }
 
 // HasHotpathDirective reports whether fn's doc comment carries a
 // //spylint:hotpath line, declaring the function a hot-path root that

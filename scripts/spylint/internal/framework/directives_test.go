@@ -38,7 +38,7 @@ var d int
 //spylint:allow detrand a perfectly fine reason
 var e int
 
-//spylint:scratch
+//spylint:hotpath
 func f() {}
 `
 	_, ix := collect(t, src)
@@ -87,13 +87,13 @@ var c int
 	}
 }
 
-func TestHasScratchDirective(t *testing.T) {
+func TestHasHotpathDirective(t *testing.T) {
 	src := `package p
 
-// Scratchy returns scratch.
+// Hot is a hot-path root.
 //
-//spylint:scratch
-func Scratchy() []int { return nil }
+//spylint:hotpath
+func Hot() []int { return nil }
 
 // Plain does not.
 func Plain() []int { return nil }
@@ -106,10 +106,10 @@ func Plain() []int { return nil }
 	var got []bool
 	for _, d := range f.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok {
-			got = append(got, HasScratchDirective(fd))
+			got = append(got, HasHotpathDirective(fd))
 		}
 	}
 	if len(got) != 2 || !got[0] || got[1] {
-		t.Errorf("HasScratchDirective = %v, want [true false]", got)
+		t.Errorf("HasHotpathDirective = %v, want [true false]", got)
 	}
 }

@@ -6,15 +6,11 @@
 //	detrand        deterministic packages take no randomness from the
 //	               environment: no wall clock, no math/rand, no map
 //	               iteration, no package-level mutable state
-//	scratchalias   probe-scratch return values (ProbeLines and friends)
-//	               are never retained past their lifetime window
 //	droppederr     experiment and report/render code never silently
 //	               discards an error
 //	hotalloc       //spylint:hotpath functions and everything they call
 //	               intra-module are allocation-free (vet-time twin of
 //	               the 0 allocs/op benchmark gates)
-//	leaselife      every service Store.Claim reaches a terminal Put,
-//	               Release, or lease-loss guard on all paths
 //	ctxflow        exported blocking library APIs accept and propagate
 //	               context.Context; Background()/TODO() stay in main
 //
@@ -43,18 +39,14 @@ import (
 	"spylint/internal/droppederr"
 	"spylint/internal/framework"
 	"spylint/internal/hotalloc"
-	"spylint/internal/leaselife"
 	"spylint/internal/resetcomplete"
-	"spylint/internal/scratchalias"
 )
 
 var analyzers = []*framework.Analyzer{
 	resetcomplete.Analyzer,
 	detrand.Analyzer,
-	scratchalias.Analyzer,
 	droppederr.Analyzer,
 	hotalloc.Analyzer,
-	leaselife.Analyzer,
 	ctxflow.Analyzer,
 }
 
@@ -65,8 +57,8 @@ func main() {
 	printflags := flag.Bool("flags", false, "print analyzer flags in JSON (go vet protocol)")
 	detpkgs := flag.Bool("det-packages", false, "print the deterministic package list, one per line")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, `spylint checks the spybox simulator's determinism, reset, scratch-aliasing,
-and error-handling invariants.
+		fmt.Fprintf(os.Stderr, `spylint checks the spybox simulator's determinism, reset, error-handling,
+hot-path allocation and context-propagation invariants.
 
 usage:
 	spylint unit.cfg        # one compilation unit (invoked by go vet -vettool)

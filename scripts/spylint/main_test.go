@@ -18,20 +18,12 @@ func TestDetRand(t *testing.T) {
 	analysistest.Run(t, "testdata/detrand", analyzers)
 }
 
-func TestScratchAlias(t *testing.T) {
-	analysistest.Run(t, "testdata/scratchalias", analyzers)
-}
-
 func TestDroppedErr(t *testing.T) {
 	analysistest.Run(t, "testdata/droppederr", analyzers)
 }
 
 func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, "testdata/hotalloc", analyzers)
-}
-
-func TestLeaseLife(t *testing.T) {
-	analysistest.Run(t, "testdata/leaselife", analyzers)
 }
 
 func TestCtxFlow(t *testing.T) {
