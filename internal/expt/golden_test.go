@@ -24,38 +24,7 @@ var goldenExperiments = []string{"fig4", "table1", "fig10"}
 // unless the output change is intended and reviewed.
 func TestGoldenP100(t *testing.T) {
 	t.Parallel()
-	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
-	var buf bytes.Buffer
-	for _, id := range goldenExperiments {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		r, err := e.Run(p)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		r.Print(&buf)
-	}
-	path := filepath.Join("testdata", "golden_p100_small.txt")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("p100-dgx1 output diverged from the pre-refactor golden file.\n"+
-			"got %d bytes, want %d; first divergence near byte %d",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
-	}
+	checkGolden(t, "p100-dgx1", goldenExperiments, "golden_p100_small.txt")
 }
 
 // goldenV100Experiments freeze the two-stage fabric's output: the
@@ -73,9 +42,32 @@ func TestGoldenV100(t *testing.T) {
 		t.Skip("v100 golden run re-runs the full attack setup five times; skipped in -short CI runs")
 	}
 	t.Parallel()
-	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "v100-dgx2"}
+	checkGolden(t, "v100-dgx2", goldenV100Experiments, "golden_v100_small.txt")
+}
+
+// goldenMLPExperiments are the model-extraction chain (Sec. V-B):
+// per-set miss histograms, the Table II averages and extraction
+// decision, the two memorygrams, and the two-epoch run whose
+// final_loss row pins the victim's host-side training.
+var goldenMLPExperiments = []string{"fig13", "table2", "fig14", "fig15"}
+
+// TestGoldenMLP pins the MLP victim's reports byte-for-byte at the
+// default seed on the paper's machine. The victim's device traffic
+// and its host-side SGD must both stay put: the first shows in every
+// miss count, the second in fig15's final_loss.
+func TestGoldenMLP(t *testing.T) {
+	t.Parallel()
+	checkGolden(t, "p100-dgx1", goldenMLPExperiments, "golden_mlp_small.txt")
+}
+
+// checkGolden runs ids serially at small scale and the default seed on
+// arch and compares their concatenated text reports with
+// testdata/<file>, or rewrites that file under -update.
+func checkGolden(t *testing.T, arch string, ids []string, file string) {
+	t.Helper()
+	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: arch}
 	var buf bytes.Buffer
-	for _, id := range goldenV100Experiments {
+	for _, id := range ids {
 		e, ok := Lookup(id)
 		if !ok {
 			t.Fatalf("experiment %q not registered", id)
@@ -86,7 +78,7 @@ func TestGoldenV100(t *testing.T) {
 		}
 		r.Print(&buf)
 	}
-	path := filepath.Join("testdata", "golden_v100_small.txt")
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -101,9 +93,9 @@ func TestGoldenV100(t *testing.T) {
 		t.Fatalf("missing golden file (regenerate with -update): %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("v100-dgx2 output diverged from the golden file.\n"+
+		t.Errorf("%s output diverged from %s.\n"+
 			"got %d bytes, want %d; first divergence near byte %d",
-			buf.Len(), len(want), firstDiff(buf.Bytes(), want))
+			arch, path, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
 	}
 }
 
