@@ -185,9 +185,6 @@ func TestFig13(t *testing.T) {
 }
 
 func TestTableII(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table2 trains 8 MLP victims; skipped in -short CI runs")
-	}
 	t.Parallel()
 	r, err := TableII(smallParams())
 	if err != nil {

@@ -35,7 +35,8 @@ func mlpDims(s Scale) (sets, epochCap int, cfg victim.MLPVictimConfig) {
 //spylint:allow detrand effectively const: never written after initialization
 var mlpHiddenSizes = []int{64, 128, 256, 512}
 
-// recordMLPGram trains one MLP victim under the monitor.
+// recordMLPGram runs one MLP victim's training kernel under the
+// monitor.
 func recordMLPGram(m *sim.Machine, spy *core.Attacker, sets []core.EvictionSet, epochCap int, v *victim.MLPVictim) (*memgram.Gram, *core.MonitorResult, error) {
 	victimDone := false
 	res, err := spy.MonitorConcurrent(sets, core.MonitorOptions{
@@ -50,9 +51,9 @@ func recordMLPGram(m *sim.Machine, spy *core.Attacker, sets []core.EvictionSet, 
 }
 
 // mlpMeasure is the shared trial body for the MLP experiments: build
-// a machine and spy from the trial seed, train one MLP victim with
-// hidden width h under the monitor, and return the memorygram and
-// monitor result.
+// a machine and spy from the trial seed, run the training kernel of
+// one MLP victim with hidden width h under the monitor, and return the
+// memorygram and monitor result.
 func mlpMeasure(tp Params, h int) (*memgram.Gram, *core.MonitorResult, error) {
 	m := machineFor(tp, sim.Options{Seed: tp.Seed})
 	numSets, epochCap, base := mlpDims(tp.Scale)
@@ -213,7 +214,9 @@ func Fig14(p Params) (*Result, error) {
 }
 
 // Fig15 trains a two-epoch MLP and recovers the epoch count from the
-// memorygram's activity bursts.
+// memorygram's activity bursts. The monitored kernel issues only the
+// training traffic; the victim's host-side SGD runs afterwards (Train)
+// for the final_loss row, which no spy observation depends on.
 func Fig15(p Params) (*Result, error) {
 	m := machineFor(p, sim.Options{Seed: p.Seed})
 	numSets, epochCap, base := mlpDims(p.Scale)
@@ -240,6 +243,7 @@ func Fig15(p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	v.Train()
 	r := newResult("fig15", "Memorygram for a two-epoch experiment")
 	attachPGM(r, "fig15_two_epochs", gram)
 	r.Chart(gram.RenderASCII(72, 14))

@@ -93,11 +93,11 @@ func TestParallelDeterminism(t *testing.T) {
 		id    string
 		run   func(Params) (*Result, error)
 		arch  string // architecture profile; empty means p100-dgx1
-		heavy bool   // skipped under -short; the four light cases always run
+		heavy bool   // skipped under -short; the five light cases always run
 	}{
 		{"fig9", Fig9, "", false},
 		{"fig11", Fig11, "", false},
-		{"table2", TableII, "", true},
+		{"table2", TableII, "", false},
 		{"mig", MIG, "", false},
 		{"pairs", Pairs, "", false},
 		{"archsweep", ArchSweep, "", true},

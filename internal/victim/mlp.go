@@ -1,10 +1,13 @@
 // The deep-learning victim (Sec. V-B): a one-hidden-layer MLP trained
-// by SGD on the synthetic MNIST data, with its per-batch weight and
-// activation traffic issued against the simulated GPU. The paper's
-// Table II statistic — average L2 misses growing with hidden width —
-// emerges because wider layers move proportionally more weight bytes
-// per batch; Fig. 15's visible epochs come from the quiet evaluation
-// pause between training epochs.
+// by SGD on the synthetic MNIST data. Its per-batch weight and
+// activation traffic is issued against the simulated GPU by Launch;
+// the host-side SGD that fits the weights is run by Train. The spy
+// sees only the traffic, whose sizes and order do not depend on the
+// weight values, so the two are independent. The paper's Table II
+// statistic — average L2 misses growing with hidden width — emerges
+// because wider layers move proportionally more weight bytes per
+// batch; Fig. 15's visible epochs come from the quiet evaluation pause
+// between training epochs.
 package victim
 
 import (
@@ -18,8 +21,9 @@ import (
 )
 
 // MLP is a 784-H-10 perceptron with sigmoid hidden units and a
-// softmax output, trained with plain SGD. It is a real network: Train
-// genuinely fits the synthetic digits.
+// softmax output, trained with plain SGD. It is a real network:
+// TrainSample (and MLPVictim.Train, which loops it over the victim's
+// data) genuinely fits the synthetic digits.
 type MLP struct {
 	Hidden int
 	W1     [][]float64 // [Hidden][ImgPixels]
@@ -168,22 +172,19 @@ type MLPVictimConfig struct {
 	EpochGapOps int
 }
 
-// DefaultMLPVictimConfig matches the experiments' scale.
-func DefaultMLPVictimConfig(hidden int) MLPVictimConfig {
-	return MLPVictimConfig{Hidden: hidden, Epochs: 1, Samples: 96, BatchSize: 16, EpochGapOps: 20000}
-}
-
 // MLPVictim couples the real network with its device-side buffers.
+// Launch issues the training traffic; Train runs the SGD itself.
 type MLPVictim struct {
 	Net  *MLP
 	Proc *cudart.Process
 	Cfg  MLPVictimConfig
 	Data *Dataset
 
-	inputBuf  arch.VA // one batch of images
-	w1Buf     arch.VA // W1 weights (784 x H x 4B)
-	w2Buf     arch.VA // W2 weights (H x 10 x 4B)
-	actBuf    arch.VA // hidden activations for a batch
+	inputBuf arch.VA // one batch of images
+	w1Buf    arch.VA // W1 weights (784 x H x 4B)
+	w2Buf    arch.VA // W2 weights (H x 10 x 4B)
+	actBuf   arch.VA // hidden activations for a batch
+	// FinalLoss is the last epoch's mean training loss, set by Train.
 	FinalLoss float64
 }
 
@@ -234,11 +235,12 @@ func lines(bytes uint64) int {
 	return n
 }
 
-// Launch starts the training kernel. Per batch it performs the real
-// SGD math host-side and issues the corresponding device traffic:
-// input batch in, W1 read (forward), activations, W2 read, then W2
-// and W1 again for the backward pass and update. Between epochs it
-// idles on heavy arithmetic (the evaluation pause).
+// Launch starts the training kernel. Per batch it issues the device
+// traffic of one SGD step: input batch in, W1 read (forward),
+// activations, W2 read, then W2 and W1 again for the backward pass and
+// update. Between epochs it idles on heavy arithmetic (the evaluation
+// pause). The traffic does not depend on the weight values, so Launch
+// leaves Net untouched; Train fits it.
 func (v *MLPVictim) Launch(done *bool) error {
 	cfg := v.Cfg
 	inLines := lines(uint64(cfg.BatchSize) * ImgPixels * 4)
@@ -250,13 +252,7 @@ func (v *MLPVictim) Launch(done *bool) error {
 			defer func() { *done = true }()
 		}
 		for ep := 0; ep < cfg.Epochs; ep++ {
-			var epochLoss float64
 			for b := 0; b+cfg.BatchSize <= cfg.Samples; b += cfg.BatchSize {
-				// Real SGD on the batch.
-				for s := b; s < b+cfg.BatchSize; s++ {
-					epochLoss += v.Net.TrainSample(v.Data.Images[s], v.Data.Labels[s])
-				}
-				// Device traffic of the same batch.
 				k.Stream(v.inputBuf, inLines, arch.CacheLineSize) // H2D batch
 				k.Stream(v.w1Buf, w1Lines, arch.CacheLineSize)    // forward W1
 				k.Stream(v.actBuf, actLines, arch.CacheLineSize)  // activations
@@ -265,10 +261,25 @@ func (v *MLPVictim) Launch(done *bool) error {
 				k.Stream(v.w1Buf, w1Lines, arch.CacheLineSize)    // backward W1 + update
 				k.Busy(cfg.BatchSize * cfg.Hidden / 4)            // MACs
 			}
-			v.FinalLoss = epochLoss / float64(cfg.Samples)
 			if ep < cfg.Epochs-1 && cfg.EpochGapOps > 0 {
 				k.BusyHeavy(cfg.EpochGapOps) // quiet inter-epoch pause
 			}
 		}
 	})
+}
+
+// Train runs the host-side SGD that Launch's traffic stands for: the
+// same epochs and whole batches, one TrainSample per sample in order.
+// It sets FinalLoss to the last epoch's mean loss.
+func (v *MLPVictim) Train() {
+	cfg := v.Cfg
+	for ep := 0; ep < cfg.Epochs; ep++ {
+		var epochLoss float64
+		for b := 0; b+cfg.BatchSize <= cfg.Samples; b += cfg.BatchSize {
+			for s := b; s < b+cfg.BatchSize; s++ {
+				epochLoss += v.Net.TrainSample(v.Data.Images[s], v.Data.Labels[s])
+			}
+		}
+		v.FinalLoss = epochLoss / float64(cfg.Samples)
+	}
 }

@@ -1,8 +1,12 @@
 package victim
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"spybox/internal/arch"
+	"spybox/internal/cudart"
 	"spybox/internal/sim"
 	"spybox/internal/xrand"
 )
@@ -153,9 +157,7 @@ func TestMLPVictimTrainsForReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	v.Launch(&done)
-	m.Run()
+	v.Train()
 	if v.FinalLoss <= 0 || v.FinalLoss > 2.0 {
 		t.Errorf("final loss %.3f implausible for 3 epochs", v.FinalLoss)
 	}
@@ -164,9 +166,91 @@ func TestMLPVictimTrainsForReal(t *testing.T) {
 	}
 }
 
-func TestDefaultMLPVictimConfig(t *testing.T) {
-	cfg := DefaultMLPVictimConfig(128)
-	if cfg.Hidden != 128 || cfg.Epochs <= 0 || cfg.Samples <= 0 {
-		t.Errorf("bad default config %+v", cfg)
+// TestMLPVictimTrafficIndependentOfTraining holds the split between
+// Launch and Train: the monitored kernel's device traffic must not
+// depend on whether, or how far, the host-side SGD has run, and Launch
+// alone must not touch the weights.
+func TestMLPVictimTrafficIndependentOfTraining(t *testing.T) {
+	type outcome struct {
+		l2, hbm []uint64    // per device: L2 hits, misses, evictions; HBM reads, row hits, bytes
+		end     arch.Cycles // clock at which an idle observer kernel saw the victim finish
 	}
+	run := func(train bool) outcome {
+		m := sim.MustNewMachine(sim.Options{Seed: 21})
+		cfg := MLPVictimConfig{Hidden: 48, Epochs: 2, Samples: 48, BatchSize: 16, EpochGapOps: 200}
+		v, err := NewMLPVictim(m, 0, 22, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w1, w2 := weightBits(v.Net.W1), weightBits(v.Net.W2)
+		if train {
+			v.Train()
+			if v.FinalLoss <= 0 {
+				t.Fatalf("Train left FinalLoss at %v", v.FinalLoss)
+			}
+		}
+		done := false
+		if err := v.Launch(&done); err != nil {
+			t.Fatal(err)
+		}
+		// Launch exposes no clock, so an observer kernel reads it off:
+		// it ticks one ALU op per event, issues no memory traffic, and
+		// stops at its first event after the victim's last.
+		obs, err := cudart.NewProcess(m, 0, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		err = obs.Launch("observer", 0, func(k *cudart.Kernel) {
+			for !done {
+				k.Busy(1)
+				k.Yield()
+			}
+			out.end = k.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		if !done {
+			t.Fatal("victim did not finish")
+		}
+		if !train {
+			if v.FinalLoss != 0 {
+				t.Errorf("Launch wrote FinalLoss %v", v.FinalLoss)
+			}
+			if !slices.Equal(w1, weightBits(v.Net.W1)) || !slices.Equal(w2, weightBits(v.Net.W2)) {
+				t.Error("Launch changed the network's weights")
+			}
+		}
+		for d := 0; d < m.NumGPUs(); d++ {
+			dev := m.Device(arch.DeviceID(d))
+			h, miss, ev := dev.L2().Totals()
+			reads, rowHits, bytes := dev.HBM().Stats()
+			out.l2 = append(out.l2, h, miss, ev)
+			out.hbm = append(out.hbm, reads, rowHits, bytes)
+		}
+		return out
+	}
+	a, b := run(false), run(true)
+	if !slices.Equal(a.l2, b.l2) {
+		t.Errorf("L2 totals differ: launch only %v, trained first %v", a.l2, b.l2)
+	}
+	if !slices.Equal(a.hbm, b.hbm) {
+		t.Errorf("HBM stats differ: launch only %v, trained first %v", a.hbm, b.hbm)
+	}
+	if a.end != b.end || a.end == 0 {
+		t.Errorf("victim end clock: launch only %d, trained first %d", a.end, b.end)
+	}
+}
+
+// weightBits flattens a weight matrix to its float bit patterns.
+func weightBits(w [][]float64) []uint64 {
+	var out []uint64
+	for _, row := range w {
+		for _, x := range row {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	return out
 }

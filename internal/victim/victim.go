@@ -10,7 +10,9 @@
 // structures — not the arithmetic — are what the memorygram captures,
 // but the arithmetic is performed anyway (cheaply, host-side within
 // the kernel body) so the workloads are genuine programs rather than
-// synthetic tracers.
+// synthetic tracers. The MLP victim is the exception: its SGD is far
+// costlier than its traffic and is run apart from the kernel, by
+// MLPVictim.Train.
 package victim
 
 import (

@@ -135,8 +135,11 @@ func NewVictimApp(name string, m *Machine, dev DeviceID, seed uint64, cfg Victim
 	return victim.NewApp(name, m, dev, seed, cfg)
 }
 
-// MLPVictim trains a small MLP on-device — the model-extraction
-// target of Sec. V-B.
+// MLPVictim is a small MLP being trained on a GPU — the
+// model-extraction target of Sec. V-B. Launch issues its training
+// traffic on the device, which is all a spy observes; Train runs the
+// host-side SGD and sets FinalLoss, so callers that read FinalLoss or
+// the trained Net call Train.
 type MLPVictim = victim.MLPVictim
 
 // MLPVictimConfig sizes the MLP victim (hidden width, epochs, ...).
