@@ -273,12 +273,11 @@ func (v *MLPVictim) Launch(done *bool) error {
 // It sets FinalLoss to the last epoch's mean loss.
 func (v *MLPVictim) Train() {
 	cfg := v.Cfg
+	used := cfg.Samples / cfg.BatchSize * cfg.BatchSize
 	for ep := 0; ep < cfg.Epochs; ep++ {
 		var epochLoss float64
-		for b := 0; b+cfg.BatchSize <= cfg.Samples; b += cfg.BatchSize {
-			for s := b; s < b+cfg.BatchSize; s++ {
-				epochLoss += v.Net.TrainSample(v.Data.Images[s], v.Data.Labels[s])
-			}
+		for s := 0; s < used; s++ {
+			epochLoss += v.Net.TrainSample(v.Data.Images[s], v.Data.Labels[s])
 		}
 		v.FinalLoss = epochLoss / float64(cfg.Samples)
 	}
