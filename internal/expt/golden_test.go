@@ -60,6 +60,24 @@ func TestGoldenMLP(t *testing.T) {
 	checkGolden(t, "p100-dgx1", goldenMLPExperiments, "golden_mlp_small.txt")
 }
 
+// goldenSharedSeedExperiments are the trial-decomposed experiments
+// whose trials deliberately share the run seed (each condition, pair,
+// partition or profile rebuilds the same box): the Sec. VI defense
+// conditions, MIG partitions, the GPU-pair sweep, the multi-GPU
+// configurations and the architecture sweep.
+var goldenSharedSeedExperiments = []string{"sec6", "mig", "pairs", "multigpu", "archsweep"}
+
+// TestGoldenSharedSeed pins those reports byte-for-byte at the default
+// seed on the paper's machine, so a change in how their trials build
+// machines cannot move a byte unnoticed.
+func TestGoldenSharedSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shared-seed golden run re-runs the full attack setup for every sec6 condition; skipped in -short CI runs")
+	}
+	t.Parallel()
+	checkGolden(t, "p100-dgx1", goldenSharedSeedExperiments, "golden_shared_seed_small.txt")
+}
+
 // checkGolden runs ids serially at small scale and the default seed on
 // arch and compares their concatenated text reports with
 // testdata/<file>, or rewrites that file under -update.
