@@ -325,9 +325,10 @@ func BenchmarkSchedulerEvents(b *testing.B) {
 
 // BenchmarkRunnerTrials measures trial fan-out overhead and scaling:
 // eight identical trials per op, serially and over the worker pool.
-// Machines come from the runner's per-worker pool (Params.MachineFor),
-// so after the first trial each op is a Reset + run rather than a full
-// build — the trial-path hot loop experiments actually ride. trials/s
+// Machines come from each trial worker's machine slot
+// (Params.MachineFor), so after a worker's first trial each trial is a
+// Reset + run rather than a full build — the trial-path hot loop
+// experiments actually ride. trials/s
 // is the headline; on a multi-core host the parallel variant should
 // approach serial * min(8, cores).
 func BenchmarkRunnerTrials(b *testing.B) {
@@ -372,8 +373,9 @@ func BenchmarkRunnerTrials(b *testing.B) {
 }
 
 // BenchmarkMachineReset compares building a machine from scratch with
-// rewinding one in place — the per-trial cost the MachinePool turns
-// every repeat build into. The reset path's allocs/op should be 0.
+// rewinding one in place — the per-trial cost a trial worker's
+// MachineSlot turns every repeat build into. The reset path's
+// allocs/op should be 0.
 func BenchmarkMachineReset(b *testing.B) {
 	b.Run("new", func(b *testing.B) {
 		b.ReportAllocs()

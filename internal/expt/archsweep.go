@@ -147,7 +147,9 @@ func archSweepTrial(p Params, prof arch.Profile) (archOut, error) {
 func ArchSweep(p Params) (*Result, error) {
 	profs := arch.Profiles()
 	outs, err := RunTrials(p, len(profs), func(t Trial) (archOut, error) {
-		return archSweepTrial(p, profs[t.Index])
+		tp := t.Params
+		tp.Seed = p.Seed
+		return archSweepTrial(tp, profs[t.Index])
 	})
 	if err != nil {
 		return nil, err

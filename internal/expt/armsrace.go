@@ -72,7 +72,9 @@ func ArmsRace(p Params) (*Result, error) {
 		out := armsraceTrial{setting: s}
 		// Condition trials rebuild the same machine from the run seed;
 		// see the package comment and EXPERIMENTS.md.
-		pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1, Arch: p.Arch})
+		tp := t.Params
+		tp.Seed = p.Seed
+		pair, err := setupAttackPair(tp)
 		if err != nil {
 			return out, err
 		}

@@ -43,7 +43,9 @@ func SecVI(p Params) (*Result, error) {
 	}
 	outs, err := RunTrials(p, len(conds), func(t Trial) (sec6Trial, error) {
 		withNoise, withBlocking := conds[t.Index].withNoise, conds[t.Index].withBlocking
-		pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1})
+		tp := t.Params
+		tp.Seed = p.Seed
+		pair, err := setupAttackPair(tp)
 		if err != nil {
 			return sec6Trial{}, err
 		}

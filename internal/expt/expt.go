@@ -126,12 +126,12 @@ type Params struct {
 	// concurrent jobs can be told apart. It never influences results.
 	Job string
 
-	// pool, when non-nil, recycles machines across this worker's
-	// trials (set by the runner; one pool per trial worker, so pooled
-	// machines never cross goroutines). Because Machine.Reset is
-	// byte-identical to fresh construction, pooling never influences
+	// slot, when non-nil, keeps this trial worker's machine across its
+	// trials (set by the runner; one slot per trial worker, so a reused
+	// machine never crosses goroutines). Because Machine.Reset is
+	// byte-identical to fresh construction, reuse never influences
 	// results — the pooled-determinism tests pin this.
-	pool *sim.MachinePool
+	slot *sim.MachineSlot
 }
 
 // ctx resolves the run's context; nil means never cancelled.
@@ -163,17 +163,17 @@ func (p Params) mustProfile() arch.Profile {
 }
 
 // MachineFor builds a machine on the run's architecture profile with
-// the remaining options as given. Inside a trial the runner supplies a
-// per-worker machine pool, so a matching machine from an earlier trial
-// is reset to opts.Seed and reused instead of being rebuilt; outside
-// the runner it is plain construction.
+// the remaining options as given. Inside a trial the runner supplies
+// its worker's machine slot, so a matching machine from the worker's
+// previous trial is reset to opts.Seed and reused instead of being
+// rebuilt; outside the runner it is plain construction.
 func (p Params) MachineFor(opts sim.Options) (*sim.Machine, error) {
 	prof, err := p.ArchProfile()
 	if err != nil {
 		return nil, err
 	}
 	opts.Profile = &prof
-	return p.pool.Get(opts) // a nil pool falls through to sim.NewMachine
+	return p.slot.Get(opts) // a nil slot falls through to sim.NewMachine
 }
 
 // machineFor is MachineFor for experiment bodies, which run behind a

@@ -238,6 +238,29 @@ func TestSecVI(t *testing.T) {
 	}
 }
 
+// TestSecVIHonoursArch: every sec6 condition builds its machine on the
+// run's architecture, so the DGX-2 report differs from the DGX-1 one.
+func TestSecVIHonoursArch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sec6 on two profiles re-runs the full attack setup six times; skipped in -short CI runs")
+	}
+	t.Parallel()
+	render := func(archName string) string {
+		p := smallParams()
+		p.Arch = archName
+		r, err := SecVI(p)
+		if err != nil {
+			t.Fatalf("%s: %v", archName, err)
+		}
+		var b strings.Builder
+		r.Print(&b)
+		return b.String()
+	}
+	if p100, v100 := render("p100-dgx1"), render("v100-dgx2"); p100 == v100 {
+		t.Fatalf("sec6 ignored -arch: the v100-dgx2 report equals the p100-dgx1 one:\n%s", v100)
+	}
+}
+
 func TestSecVII(t *testing.T) {
 	t.Parallel()
 	r, err := SecVII(smallParams())

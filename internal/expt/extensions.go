@@ -30,8 +30,8 @@ import (
 func MIG(p Params) (*Result, error) {
 	r := newResult("mig", "MIG-style partitioning defense (Sec. VII)")
 
-	attempt := func(partitions int) (aligned bool, detail string, err error) {
-		m := machineFor(p, sim.Options{Seed: p.Seed, MIGPartitions: partitions})
+	attempt := func(tp Params, partitions int) (aligned bool, detail string, err error) {
+		m := machineFor(tp, sim.Options{Seed: p.Seed, MIGPartitions: partitions})
 		prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
 		if err != nil {
 			return false, "", err
@@ -72,7 +72,7 @@ func MIG(p Params) (*Result, error) {
 	}
 	partitions := []int{0, 2}
 	outs, err := RunTrials(p, len(partitions), func(t Trial) (migTrial, error) {
-		aligned, detail, err := attempt(partitions[t.Index])
+		aligned, detail, err := attempt(t.Params, partitions[t.Index])
 		return migTrial{aligned: aligned, detail: detail}, err
 	})
 	if err != nil {
@@ -114,7 +114,7 @@ func Pairs(p Params) (*Result, error) {
 		if b >= a {
 			b++
 		}
-		m := machineFor(p, sim.Options{Seed: p.Seed})
+		m := machineFor(t.Params, sim.Options{Seed: p.Seed})
 		proc, err := cudart.NewProcess(m, a, p.Seed^uint64(a*16+b))
 		if err != nil {
 			return pairTrial{}, err
@@ -199,7 +199,7 @@ func MultiGPU(p Params) (*Result, error) {
 	}
 	outs, err := RunTrials(p, len(configs), func(t Trial) (mgTrial, error) {
 		c := configs[t.Index]
-		m := machineFor(p, sim.Options{Seed: p.Seed})
+		m := machineFor(t.Params, sim.Options{Seed: p.Seed})
 		prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
 		if err != nil {
 			return mgTrial{}, err

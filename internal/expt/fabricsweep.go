@@ -70,13 +70,11 @@ type fabricTrial struct {
 	linkTotal   uint64
 }
 
-// fabricsweepTrial runs the covert channel against `streams` competing
-// bulk P2P streams pinned to the covert plane.
-func fabricsweepTrial(p Params, archName string, streams int) (fabricTrial, error) {
+// fabricsweepTrial runs the covert channel on p's architecture against
+// `streams` competing bulk P2P streams pinned to the covert plane.
+func fabricsweepTrial(p Params, streams int) (fabricTrial, error) {
 	out := fabricTrial{streams: streams}
-	// Condition trials rebuild the same machine from the run seed; see
-	// the package comment and EXPERIMENTS.md.
-	pair, err := setupAttackPair(Params{Seed: p.Seed, Scale: p.Scale, Parallel: 1, Arch: archName})
+	pair, err := setupAttackPair(p)
 	if err != nil {
 		return out, err
 	}
@@ -91,7 +89,7 @@ func fabricsweepTrial(p Params, archName string, streams int) (fabricTrial, erro
 	topo := pair.m.Topology()
 	covPlane := topo.PlaneFor(spyGPU, trojanGPU)
 	if covPlane < 0 {
-		return out, fmt.Errorf("fabricsweep: profile %q has no switch fabric", archName)
+		return out, fmt.Errorf("fabricsweep: profile %q has no switch fabric", p.Arch)
 	}
 	targets := contentionTargets(pair.m.Profile().Fabric, pair.m.NumGPUs(), spyGPU, trojanGPU, spyGPU, covPlane)
 	if len(targets) == 0 {
@@ -170,7 +168,12 @@ func fabricsweepTrial(p Params, archName string, streams int) (fabricTrial, erro
 func FabricSweep(p Params) (*Result, error) {
 	archName := fabricsweepArch(p)
 	outs, err := RunTrials(p, fabricsweepStreams+1, func(t Trial) (fabricTrial, error) {
-		return fabricsweepTrial(p, archName, t.Index)
+		// Condition trials rebuild the same machine from the run seed;
+		// see the package comment and EXPERIMENTS.md.
+		tp := t.Params
+		tp.Seed = p.Seed
+		tp.Arch = archName
+		return fabricsweepTrial(tp, t.Index)
 	})
 	if err != nil {
 		return nil, err

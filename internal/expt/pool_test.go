@@ -2,39 +2,69 @@ package expt
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
-// TestPoolingObservablyInvisible runs a trial-decomposed experiment
-// with machine pooling on (the default) and forced off, serial and
+// TestPoolingObservablyInvisible runs trial-decomposed experiments
+// with machine reuse on (the default) and forced off, serial and
 // parallel, and demands byte-identical rendered reports. This is the
-// contract that lets the runner recycle machines at all: a pooled
-// trial must be indistinguishable from one on a fresh box.
+// contract that lets the runner reuse machines at all: a trial on a
+// reused machine must be indistinguishable from one on a fresh box.
+// Fig11 reuses across trial seeds; Pairs reuses across trials that
+// share the run seed.
 //
 // Not t.Parallel(): it flips the package-level poolingDisabled hook.
 func TestPoolingObservablyInvisible(t *testing.T) {
-	render := func(parallel int, disabled bool) []byte {
-		poolingDisabled = disabled
-		defer func() { poolingDisabled = false }()
-		r, err := Fig11(Params{Seed: 20230612, Scale: Small, Parallel: parallel})
-		if err != nil {
-			t.Fatalf("parallel=%d pooling-disabled=%t: %v", parallel, disabled, err)
-		}
-		var buf bytes.Buffer
-		r.Print(&buf)
-		return buf.Bytes()
-	}
-	want := render(1, true) // fresh machines, serial: the reference
-	for _, tc := range []struct {
-		name     string
-		parallel int
+	for _, e := range []struct {
+		name string
+		run  func(Params) (*Result, error)
 	}{
-		{"pooled-serial", 1},
-		{"pooled-parallel", 4},
+		{"fig11", Fig11},
+		{"pairs", Pairs},
 	} {
-		if got := render(tc.parallel, false); !bytes.Equal(got, want) {
-			t.Errorf("%s: report diverges from fresh-machine run (%d vs %d bytes)",
-				tc.name, len(got), len(want))
+		render := func(parallel int, disabled bool) []byte {
+			poolingDisabled = disabled
+			defer func() { poolingDisabled = false }()
+			r, err := e.run(Params{Seed: 20230612, Scale: Small, Parallel: parallel})
+			if err != nil {
+				t.Fatalf("%s parallel=%d pooling-disabled=%t: %v", e.name, parallel, disabled, err)
+			}
+			var buf bytes.Buffer
+			r.Print(&buf)
+			return buf.Bytes()
 		}
+		want := render(1, true) // fresh machines, serial: the reference
+		for _, tc := range []struct {
+			name     string
+			parallel int
+		}{
+			{"pooled-serial", 1},
+			{"pooled-parallel", 4},
+		} {
+			if got := render(tc.parallel, false); !bytes.Equal(got, want) {
+				t.Errorf("%s %s: report diverges from fresh-machine run (%d vs %d bytes)",
+					e.name, tc.name, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestPairsReusesMachine bounds what the pair sweep allocates: its 56
+// trials share one configuration, so a serial run builds one machine
+// and resets it for every other pair. Building each pair's machine
+// fresh allocates several hundred megabytes.
+//
+// Not t.Parallel(): TotalAlloc counts every goroutine's allocations.
+func TestPairsReusesMachine(t *testing.T) {
+	const limit = 64 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Pairs(Params{Seed: 20230612, Scale: Small, Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("pairs allocated %d MB at -parallel 1, want under %d MB", got>>20, limit>>20)
 	}
 }

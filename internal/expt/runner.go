@@ -24,22 +24,22 @@ import (
 	"spybox/internal/xrand"
 )
 
-// poolingDisabled turns off machine pooling in the runner (trials then
+// poolingDisabled turns off machine reuse in the runner (trials then
 // build every machine fresh). Test hook: the pooled-determinism tests
-// flip it to prove pooled and fresh runs are byte-identical — which is
+// flip it to prove reused and fresh runs are byte-identical — which is
 // also why it cannot perturb results: either setting must produce the
 // same bytes, and TestPoolingObservablyInvisible pins that.
 //
 //spylint:allow detrand test hook; pooled and fresh runs are proven byte-identical
 var poolingDisabled bool
 
-// newTrialPool returns the machine pool for one trial worker, or nil
+// newTrialSlot returns the machine slot for one trial worker, or nil
 // when pooling is disabled.
-func newTrialPool() *sim.MachinePool {
+func newTrialSlot() *sim.MachineSlot {
 	if poolingDisabled {
 		return nil
 	}
-	return sim.NewMachinePool()
+	return new(sim.MachineSlot)
 }
 
 // Trial identifies one unit of runner work: its index within the
@@ -77,12 +77,12 @@ func (p Params) parallelism() int {
 // context wins only when no trial failed; the returned error then
 // wraps the context's error.
 func RunTrials[T any](p Params, n int, run func(t Trial) (T, error)) ([]T, error) {
-	return runPool(p.ctx(), p.Hooks, p.Job, p.parallelism(), n, func(i int, pool *sim.MachinePool) (T, error) {
+	return runPool(p.ctx(), p.Hooks, p.Job, p.parallelism(), n, func(i int, slot *sim.MachineSlot) (T, error) {
 		tp := p
 		tp.Seed = TrialSeed(p.Seed, i)
 		tp.Parallel = 1
 		tp.Hooks = nil // trials never recursively observe
-		tp.pool = pool // machines recycle within this worker
+		tp.slot = slot // the worker's machine is reused across its trials
 		return run(Trial{Index: i, Params: tp})
 	})
 }
@@ -112,23 +112,23 @@ func OneTrial(body func(Params) (*Result, error)) func(Params) (*Result, error) 
 // runPool is the bounded fan-out behind RunTrials: `workers`
 // goroutines claim indices 0..n-1 in order and write results into an
 // index-addressed slice, which is what makes the merge step
-// order-independent of scheduling. Each worker owns one machine pool,
-// passed to run and swept (Recycle) after every trial, so machines
-// recycle within a worker but never migrate between goroutines.
-func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers, n int, run func(i int, pool *sim.MachinePool) (T, error)) ([]T, error) {
+// order-independent of scheduling. Each worker owns one machine slot,
+// passed to run and released after every trial, so a machine is reused
+// within a worker but never migrates between goroutines.
+func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers, n int, run func(i int, slot *sim.MachineSlot) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		pool := newTrialPool()
+		slot := newTrialSlot()
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("run cancelled before trial %d/%d: %w", i, n, err)
 			}
 			hooks.start(job, i, n)
-			v, err := run(i, pool)
-			pool.Recycle()
+			v, err := run(i, slot)
+			slot.Release()
 			hooks.done(job, i, n, err)
 			if err != nil {
 				return nil, fmt.Errorf("trial %d: %w", i, err)
@@ -154,7 +154,7 @@ func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := newTrialPool()
+			slot := newTrialSlot()
 			for {
 				i := int(next.Add(1))
 				if i >= n {
@@ -182,8 +182,8 @@ func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers,
 					continue
 				}
 				hooks.start(job, i, n)
-				v, err := run(i, pool)
-				pool.Recycle()
+				v, err := run(i, slot)
+				slot.Release()
 				hooks.done(job, i, n, err)
 				if err != nil {
 					mu.Lock()

@@ -46,11 +46,12 @@ type Options struct {
 // Machine is the whole simulated multi-GPU box.
 //
 // Fields exempted from the resetcomplete check below are fixed by the
-// Config at construction and shared by every trial a pooled machine
-// runs: the pool keys leases by config, so Reset(seed) rewinds state
-// derived from the seed and leaves config-derived fields in place.
+// Config at construction and shared by every trial a reused machine
+// runs: a MachineSlot reuses a machine only for the same options
+// fingerprint, so Reset(seed) rewinds state derived from the seed and
+// leaves config-derived fields in place.
 type Machine struct {
-	//spylint:allow resetcomplete profile is part of the pool key, identical across leases
+	//spylint:allow resetcomplete profile is part of the options fingerprint, identical across reuses
 	prof    arch.Profile
 	devices []*gpu.Device
 	topo    *nvlink.Topology
@@ -60,19 +61,19 @@ type Machine struct {
 	jitter *xrand.Source
 	root   *xrand.Source
 
-	//spylint:allow resetcomplete latency model is config-derived, identical across leases
+	//spylint:allow resetcomplete latency model is config-derived, identical across reuses
 	lat arch.LatencyModel
 	// lineSize is the L2 line width in bytes, from the cache geometry.
-	//spylint:allow resetcomplete geometry is config-derived, identical across leases
+	//spylint:allow resetcomplete geometry is config-derived, identical across reuses
 	lineSize int
-	//spylint:allow resetcomplete noise switch is part of the pool key
+	//spylint:allow resetcomplete noise switch is part of the options fingerprint
 	noiseOff bool
 	// hasFabric gates burst tallying off the p100 hot path.
-	//spylint:allow resetcomplete topology flag is config-derived, identical across leases
+	//spylint:allow resetcomplete topology flag is config-derived, identical across reuses
 	hasFabric bool
-	//spylint:allow resetcomplete contention sigma is config-derived, identical across leases
+	//spylint:allow resetcomplete contention sigma is config-derived, identical across reuses
 	contSigmaPer float64
-	//spylint:allow resetcomplete MIG layout is part of the pool key
+	//spylint:allow resetcomplete MIG layout is part of the options fingerprint
 	migPartitions int
 
 	// peerEnabled[src][dst]: src may access memory homed on dst.
@@ -170,7 +171,7 @@ func NewMachine(opts Options) (*Machine, error) {
 // fabric counters and port clocks cleared, peer access revoked, the
 // contention tracker drained, and the PID counter rewound. A reset
 // machine's runs are byte-identical to a fresh machine's — the golden
-// tests pin this — which is what makes pooling observably invisible.
+// tests pin this — which is what makes machine reuse observably invisible.
 //
 // Reset is only legal between Runs (no live workers); the engine
 // panics otherwise.

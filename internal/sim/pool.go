@@ -1,15 +1,13 @@
-// Machine pooling: trial runners burn most of their time building
+// Machine reuse: trial runners would burn most of their time building
 // fresh boxes (a DGX-2's L2 arrays alone are hundreds of thousands of
 // way slots), yet every machine built from the same Options differs
-// only by seed — which Reset rewinds in place. A MachinePool hands out
-// reset machines keyed by an Options fingerprint, turning the
-// per-trial cost from "allocate a box" into "memclr a box".
+// only by seed — which Reset rewinds in place. A MachineSlot keeps one
+// machine for one trial worker and lends it, reset, to the worker's
+// next trial with the same Options fingerprint, turning the per-trial
+// cost from "allocate a box" into "memclr a box".
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // fingerprint returns a pooling key for the options and whether the
 // options are poolable at all. The key covers everything that shapes a
@@ -31,104 +29,47 @@ func (o Options) fingerprint() (string, bool) {
 		name, prof, o.CacheCfg, o.NoiseOff, o.ContentionSigmaPer, o.MIGPartitions), true
 }
 
-// MachinePool recycles machines across trials. Get returns a machine
-// reset to the requested seed (reusing a pooled one when the options
-// fingerprint matches); Put returns it when the trial is done. A
-// machine handed out by Get is never handed out again until it comes
-// back via Put or Recycle, so two live machines never alias state.
-//
-// The pool is safe for concurrent use, but the expected shape — one
-// pool per trial worker — means contention is rare.
-type MachinePool struct {
-	mu     sync.Mutex
-	free   map[string][]*Machine
-	leased map[*Machine]string
-	hits   uint64
-	misses uint64
+// MachineSlot keeps one machine across the trials of one worker. It
+// is not safe for concurrent use: each trial worker owns its slot, and
+// only that worker's trials reach it. The zero value is ready to use.
+type MachineSlot struct {
+	m    *Machine
+	key  string
+	lent bool // m is in use by the current trial
 }
 
-// NewMachinePool returns an empty pool.
-func NewMachinePool() *MachinePool {
-	return &MachinePool{
-		free:   make(map[string][]*Machine),
-		leased: make(map[*Machine]string),
-	}
-}
-
-// Get returns a machine built (or reset) from opts. Unpoolable options
-// fall through to NewMachine; the machine is then simply not recycled.
-func (p *MachinePool) Get(opts Options) (*Machine, error) {
-	if p == nil {
+// Get returns a machine built from opts. The kept machine is lent,
+// reset to opts.Seed, when its fingerprint matches and the current
+// trial does not hold it yet; any other request builds a new machine,
+// which a free slot keeps in place of the old one. A second request
+// within one trial therefore gets its own machine, so two live
+// machines never alias. A nil slot and unpoolable options always build.
+func (s *MachineSlot) Get(opts Options) (*Machine, error) {
+	if s == nil {
 		return NewMachine(opts)
 	}
 	key, ok := opts.fingerprint()
 	if !ok {
 		return NewMachine(opts)
 	}
-	p.mu.Lock()
-	if ms := p.free[key]; len(ms) > 0 {
-		m := ms[len(ms)-1]
-		p.free[key] = ms[:len(ms)-1]
-		p.leased[m] = key
-		p.hits++
-		p.mu.Unlock()
-		m.Reset(opts.Seed)
-		return m, nil
+	if s.m != nil && !s.lent && key == s.key {
+		s.lent = true
+		s.m.Reset(opts.Seed)
+		return s.m, nil
 	}
-	p.misses++
-	p.mu.Unlock()
 	m, err := NewMachine(opts)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.leased[m] = key
-	p.mu.Unlock()
+	if !s.lent {
+		s.m, s.key, s.lent = m, key, true
+	}
 	return m, nil
 }
 
-// Put returns a leased machine to the pool. Machines the pool does not
-// know (built directly, or from unpoolable options) are ignored.
-func (p *MachinePool) Put(m *Machine) {
-	if p == nil || m == nil {
-		return
+// Release ends the current trial: the kept machine may be lent again.
+func (s *MachineSlot) Release() {
+	if s != nil {
+		s.lent = false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key, ok := p.leased[m]
-	if !ok {
-		return
-	}
-	delete(p.leased, m)
-	p.free[key] = append(p.free[key], m)
-}
-
-// Recycle returns every leased machine to the pool at once — the
-// between-trials sweep for callers that don't track individual
-// machines (a trial may build several and drop them on the floor).
-// Because it reclaims ALL leases, it is only safe when one goroutine
-// owns every outstanding lease — the runner's one-pool-per-worker
-// shape. Goroutines sharing a pool must return machines with Put.
-func (p *MachinePool) Recycle() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	//spylint:allow detrand free-list order is unobservable: Get resets every machine before reuse
-	for m, key := range p.leased {
-		delete(p.leased, m)
-		p.free[key] = append(p.free[key], m)
-	}
-}
-
-// Stats reports how many Gets were served from the pool versus by
-// building a new machine.
-func (p *MachinePool) Stats() (hits, misses uint64) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.hits, p.misses
 }

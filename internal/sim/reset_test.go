@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"spybox/internal/arch"
-	"spybox/internal/l2cache"
 	"spybox/internal/nvlink"
 )
 
@@ -108,128 +105,114 @@ func TestMachineResetByteIdentical(t *testing.T) {
 	}
 }
 
-func TestMachinePoolReusesAndResets(t *testing.T) {
-	pool := NewMachinePool()
+// TestMachineSlotReusesAfterRelease: once a trial releases the slot,
+// the next same-fingerprint Get lends the kept machine, reset, and its
+// run replays the fresh machine's samples exactly.
+func TestMachineSlotReusesAfterRelease(t *testing.T) {
+	var slot MachineSlot
 	opts := Options{Seed: 7}
-	m1, err := pool.Get(opts)
+	m1, err := slot.Get(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := resetWorkload(t, m1)
-	pool.Put(m1)
+	slot.Release()
 
-	opts.Seed = 7
-	m2, err := pool.Get(opts)
+	m2, err := slot.Get(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2 != m1 {
-		t.Fatal("pool did not reuse the returned machine")
+		t.Fatal("slot did not reuse the released machine")
 	}
 	got := resetWorkload(t, m2)
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: reused %d vs fresh %d", len(got), len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("pooled rerun diverges at sample %d: %v vs %v", i, got[i], want[i])
+			t.Fatalf("reused rerun diverges at sample %d: %v vs %v", i, got[i], want[i])
 		}
 	}
-	if hits, misses := pool.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("pool stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
+}
 
-	// While m2 is leased, a same-fingerprint Get must build fresh —
-	// two live machines never alias.
-	m3, err := pool.Get(opts)
+// TestMachineSlotNoDoubleLend: within one trial a second same-
+// fingerprint Get builds its own machine — two live machines never
+// alias — and the slot keeps lending the first one after Release.
+func TestMachineSlotNoDoubleLend(t *testing.T) {
+	var slot MachineSlot
+	opts := Options{Seed: 3}
+	m1, err := slot.Get(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m3 == m2 {
-		t.Fatal("pool handed out a leased machine")
+	m2, err := slot.Get(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pool.Recycle()
+	if m2 == m1 {
+		t.Fatal("slot lent the same machine twice within one trial")
+	}
+	slot.Release()
+	m3, err := slot.Get(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3 != m1 {
+		t.Fatal("slot dropped its kept machine for a second request")
+	}
 }
 
-func TestMachinePoolUnpoolableTopology(t *testing.T) {
+func TestMachineSlotUnpoolableTopology(t *testing.T) {
 	topo, err := nvlink.FromProfile(arch.P100DGX1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewMachinePool()
+	var slot MachineSlot
 	opts := Options{Seed: 1, Topology: topo}
-	m1, err := pool.Get(opts)
+	m1, err := slot.Get(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.Put(m1) // ignored: unpoolable machines are never tracked
-	m2, err := pool.Get(opts)
+	slot.Release()
+	m2, err := slot.Get(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 == m2 {
-		t.Fatal("machines built from a caller-provided Topology must not pool")
-	}
-	if hits, _ := pool.Stats(); hits != 0 {
-		t.Errorf("unpoolable options recorded %d pool hits", hits)
+		t.Fatal("machines built from a caller-provided Topology must not be reused")
 	}
 }
 
-// TestMachinePoolConcurrent exercises pooling from many goroutines
-// under the -race CI job, in both supported shapes: a shared pool with
-// explicit Put (a machine is returned only by the goroutine holding
-// it), and the runner's one-pool-per-worker shape where the worker
-// sweeps its own leases with Recycle. Small cache geometry keeps the
-// machines cheap.
-func TestMachinePoolConcurrent(t *testing.T) {
-	cfg := l2cache.Config{Sets: 64, Ways: 4, LineSize: arch.CacheLineSize,
-		PageSize: arch.PageSize, Policy: l2cache.LRU, HashIndex: true}
-	touch := func(pool *MachinePool, g, i int) error {
-		m, err := pool.Get(Options{Seed: uint64(g*100 + i), CacheCfg: cfg, NoiseOff: true})
-		if err != nil {
-			return err
-		}
-		var lat arch.Cycles
-		if _, err := m.Spawn(0, fmt.Sprintf("g%d", g), 0, func(w *Worker) {
-			lat = w.TouchCG(arch.MakePA(0, 0x10000))
-		}); err != nil {
-			return err
-		}
-		m.Run()
-		if lat != arch.NomLocalMiss {
-			return fmt.Errorf("goroutine %d iter %d: cold touch = %v, want %v", g, i, lat, arch.NomLocalMiss)
-		}
-		pool.Put(m)
-		return nil
+// TestMachineSlotFingerprintChange: a free slot asked for a different
+// configuration builds it and keeps it in place of the old machine.
+func TestMachineSlotFingerprintChange(t *testing.T) {
+	var slot MachineSlot
+	m1, err := slot.Get(Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	shared := NewMachinePool()
-	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Shared pool: this goroutine Puts back only what it got.
-			for i := 0; i < 4; i++ {
-				if err := touch(shared, g, i); err != nil {
-					errs <- err
-					return
-				}
-			}
-			// Private pool, runner-shaped: Recycle sweeps own leases.
-			own := NewMachinePool()
-			for i := 0; i < 4; i++ {
-				if _, err := own.Get(Options{Seed: uint64(i), CacheCfg: cfg, NoiseOff: true}); err != nil {
-					errs <- err
-					return
-				}
-				own.Recycle()
-			}
-			if hits, _ := own.Stats(); hits != 3 {
-				errs <- fmt.Errorf("goroutine %d: private pool hits = %d, want 3", g, hits)
-			}
-		}(g)
+	slot.Release()
+	mig := Options{Seed: 5, MIGPartitions: 2}
+	m2, err := slot.Get(mig)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	if m2 == m1 {
+		t.Fatal("slot lent a machine built from a different configuration")
+	}
+	slot.Release()
+	m3, err := slot.Get(mig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3 != m2 {
+		t.Fatal("slot did not keep the machine built for the new configuration")
+	}
+	slot.Release()
+	if m4, err := slot.Get(Options{Seed: 5}); err != nil {
+		t.Fatal(err)
+	} else if m4 == m1 || m4 == m2 {
+		t.Fatal("slot lent a dropped or mismatched machine")
 	}
 }
