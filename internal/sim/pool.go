@@ -45,26 +45,24 @@ type MachineSlot struct {
 // within one trial therefore gets its own machine, so two live
 // machines never alias. A nil slot and unpoolable options always build.
 func (s *MachineSlot) Get(opts Options) (*Machine, error) {
-	if s == nil {
+	if s == nil || s.lent {
 		return NewMachine(opts)
 	}
 	key, ok := opts.fingerprint()
 	if !ok {
 		return NewMachine(opts)
 	}
-	if s.m != nil && !s.lent && key == s.key {
-		s.lent = true
+	if s.m != nil && key == s.key {
 		s.m.Reset(opts.Seed)
-		return s.m, nil
+	} else {
+		m, err := NewMachine(opts)
+		if err != nil {
+			return nil, err
+		}
+		s.m, s.key = m, key
 	}
-	m, err := NewMachine(opts)
-	if err != nil {
-		return nil, err
-	}
-	if !s.lent {
-		s.m, s.key, s.lent = m, key, true
-	}
-	return m, nil
+	s.lent = true
+	return s.m, nil
 }
 
 // Release ends the current trial: the kept machine may be lent again.
