@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -363,6 +364,89 @@ func TestLogStoreCompaction(t *testing.T) {
 	}
 	if list[0].Status.State != spybox.JobDone || len(list[0].Results) != 1 {
 		t.Errorf("compaction lost results: %+v", list[0])
+	}
+}
+
+// TestLogStoreHealsInterruptedCompaction simulates a crash between the
+// snapshot rename and the log reset: the new snapshot sits beside the
+// previous generation's log. The reopen must serve exactly the
+// pre-crash state from the snapshot — the stale log, even a frame of it
+// no reader could parse, is already folded in — and complete the reset.
+func TestLogStoreHealsInterruptedCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenLogStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"job-1", "job-2", "job-3"} {
+		if err := s.Put(rec(id, spybox.JobQueued)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := s.Claim("w1", time.Hour); err != nil || !ok {
+		t.Fatalf("claim: %v %v", ok, err)
+	}
+	if err := s.Delete("job-2"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, "log")
+	staleLog, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	// The crash: the generation-0 log was never reset, and its tail
+	// holds a CRC-valid frame that is not a log record.
+	staleLog = append(staleLog, frame([]byte("not json"))...)
+	if err := os.WriteFile(logPath, staleLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenLogStore(dir)
+	if err != nil {
+		t.Fatalf("interrupted compaction not healed: %v", err)
+	}
+	after, err := s2.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(before)
+	got, _ := json.Marshal(after)
+	if string(got) != string(want) {
+		t.Fatalf("healed store holds\n%s\nwant the pre-crash\n%s", got, want)
+	}
+	if after[0].Lease == nil || after[0].Lease.Owner != "w1" {
+		t.Errorf("healed store lost the lease: %+v", after[0].Lease)
+	}
+	// The healed log takes appends that survive the next reopen.
+	if err := s2.Put(rec("job-4", spybox.JobQueued)); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, err := OpenLogStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := s3.List()
+	s3.Close()
+	if err != nil || len(list) != 3 || list[2].Status.ID != "job-4" {
+		t.Fatalf("post-heal append lost: %+v, %v", list, err)
+	}
+
+	// The reset completed under the snapshot's generation, so the log
+	// no longer stands on its own.
+	if err := os.Remove(filepath.Join(dir, "snapshot.json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLogStore(dir); err == nil || !strings.Contains(err.Error(), "corrupted") {
+		t.Errorf("log of a compacted generation opened without its snapshot: %v", err)
 	}
 }
 
