@@ -24,9 +24,9 @@
 // claimed but skipped), then the log is reset to a header frame with a
 // bumped generation. Peers notice the generation change on their next
 // sync and reload from the snapshot. A crash between the snapshot
-// rename and the log reset is healed on the next open: replaying the
-// stale log over the new snapshot is idempotent (puts are whole-record
-// writes), after which the reset is completed.
+// rename and the log reset is healed on the next open by completing the
+// reset: the writer holds the flock from its append through the reset,
+// so the snapshot already holds every frame of the stale log.
 
 package service
 
@@ -322,12 +322,8 @@ func (s *LogStore) reloadLocked() error {
 	switch {
 	case haveSnap && hdr.Gen < snapGen:
 		// A compaction crashed after renaming the snapshot but before
-		// resetting the log. The stale log's mutations are all folded
-		// into the snapshot already — replaying them would be
-		// idempotent — so just complete the reset.
-		if err := s.replayFramesLocked(next); err != nil {
-			return err
-		}
+		// resetting the log. The snapshot already holds every frame of
+		// the stale log, so just complete the reset.
 		if err := s.resetLogLocked(snapGen); err != nil {
 			return err
 		}
@@ -341,28 +337,6 @@ func (s *LogStore) reloadLocked() error {
 	s.gen = hdr.Gen
 	s.offset = next
 	return s.replayLocked(next)
-}
-
-// replayFramesLocked applies frames from off to the end without
-// updating the replay offset (used when healing a stale log).
-func (s *LogStore) replayFramesLocked(off int64) error {
-	for {
-		payload, next, ok, err := s.readFrameAt(off)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil // torn tail; resetLogLocked discards it anyway
-		}
-		var op logOp
-		if json.Unmarshal(payload, &op) == nil {
-			s.tbl.apply(op)
-		}
-		off = next
-	}
 }
 
 // replayLocked applies frames from off to the end of the log,
