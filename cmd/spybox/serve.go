@@ -43,15 +43,11 @@ func serveCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var store service.Store
-	if *storeDir != "" {
-		logStore, err := service.OpenLogStore(*storeDir, service.WithCompactBytes(*compact))
-		if err != nil {
-			return err
-		}
-		defer logStore.Close()
-		store = logStore
+	store, err := service.OpenLogStore(*storeDir, service.WithCompactBytes(*compact))
+	if err != nil {
+		return err
 	}
+	defer store.Close()
 	svc, err := service.New(service.Options{
 		Store: store, Workers: *workers, QueueDepth: *queueDepth,
 		Owner: *owner, LeaseTTL: *lease, Poll: *poll, BatchLimit: *batchLimit,

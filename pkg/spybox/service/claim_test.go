@@ -61,7 +61,7 @@ func (s *stallStore) Renew(id spybox.JobID, owner string, ttl time.Duration) err
 func TestStalledOwnerYieldsToPeer(t *testing.T) {
 	t.Parallel()
 	var skew atomic.Int64
-	mem := NewMemStore()
+	mem := memStore(t)
 	mem.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 	st := &stallStore{Store: mem, stall: make(chan struct{})}
 	svc := newTestService(t, Options{
@@ -150,7 +150,7 @@ func (s *lostLeaseStore) Put(rec Record) error {
 // job's context, and the worker stands down without a terminal Put.
 func TestLostLeaseStandsDown(t *testing.T) {
 	t.Parallel()
-	st := &lostLeaseStore{Store: NewMemStore(), renewing: make(chan struct{}), observed: make(chan struct{})}
+	st := &lostLeaseStore{Store: memStore(t), renewing: make(chan struct{}), observed: make(chan struct{})}
 	svc := newTestService(t, Options{
 		Store: st, Workers: 1,
 		// Renewal ticks every 10ms.
@@ -205,7 +205,7 @@ func (s *closeOnClaimStore) Claim(owner string, ttl time.Duration) (Record, bool
 // once rather than after the TTL.
 func TestDrainReleasesClaim(t *testing.T) {
 	t.Parallel()
-	st := &closeOnClaimStore{Store: NewMemStore(), closed: make(chan struct{})}
+	st := &closeOnClaimStore{Store: memStore(t), closed: make(chan struct{})}
 	svc := newTestService(t, Options{
 		Store: st, Workers: 1,
 		Poll: 20 * time.Millisecond, LeaseTTL: time.Minute,

@@ -109,11 +109,13 @@ func (t *jobTable) apply(op logOp) {
 
 // LogStore is the append-only file Store. Safe for concurrent use in
 // one process (mutex) and across processes sharing the directory
-// (flock around every operation, incremental replay on entry).
+// (flock around every operation, incremental replay on entry). With no
+// directory it is the in-memory store: the same table and methods,
+// with no files, flock or fsync.
 type LogStore struct {
 	mu  sync.Mutex
-	dir string
-	now func() time.Time
+	dir string           // "" for the in-memory store
+	now func() time.Time // lease clock; tests replace it
 
 	compactBytes int64
 	lockF        *os.File
@@ -134,21 +136,12 @@ func WithCompactBytes(n int64) LogStoreOption {
 	return func(s *LogStore) { s.compactBytes = n }
 }
 
-// withClock replaces the lease clock, for expiry tests.
-func withClock(now func() time.Time) LogStoreOption {
-	return func(s *LogStore) { s.now = now }
-}
-
 // OpenLogStore opens (or initializes) the store directory at dir.
 // Any number of processes may hold the same directory open; every
-// operation synchronizes through the shared log.
+// operation synchronizes through the shared log. An empty dir opens an
+// in-memory store that nothing else shares and that is gone with the
+// process; its Compact and Close do nothing.
 func OpenLogStore(dir string, opts ...LogStoreOption) (*LogStore, error) {
-	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
-		return nil, fmt.Errorf("service: job store %s is a file, not a directory (the pre-joblog JSON store is not readable by this build; start fresh with a directory)", dir)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: creating job store dir: %w", err)
-	}
 	s := &LogStore{
 		dir:          dir,
 		now:          time.Now,
@@ -157,6 +150,15 @@ func OpenLogStore(dir string, opts ...LogStoreOption) (*LogStore, error) {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	if dir == "" {
+		return s, nil
+	}
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("service: job store %s is a file, not a directory (the pre-joblog JSON store is not readable by this build; start fresh with a directory)", dir)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("service: creating job store dir: %w", err)
 	}
 	var err error
 	if s.lockF, err = os.OpenFile(filepath.Join(dir, "lock"), os.O_CREATE|os.O_RDWR, 0o644); err != nil {
@@ -195,9 +197,13 @@ func (s *LogStore) Close() error {
 
 // locked runs fn with the process mutex and the cross-process flock
 // held, after syncing the in-memory view with whatever peers appended.
+// The in-memory store has only the mutex.
 func (s *LogStore) locked(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.dir == "" {
+		return fn()
+	}
 	if s.lockF == nil {
 		return fmt.Errorf("service: job store %s is closed", s.dir)
 	}
@@ -375,8 +381,13 @@ func (s *LogStore) replayLocked(off int64) error {
 }
 
 // appendLocked writes one operation frame with fsync, then applies it
-// to the in-memory view. Callers hold the flock via locked.
+// to the in-memory view. Callers hold the flock via locked. The
+// in-memory store only applies it.
 func (s *LogStore) appendLocked(op logOp) error {
+	if s.dir == "" {
+		s.tbl.apply(op)
+		return nil
+	}
 	payload, err := json.Marshal(op)
 	if err != nil {
 		return fmt.Errorf("service: encoding job log record: %w", err)
@@ -477,6 +488,9 @@ func syncDir(dir string) error {
 
 // Compact forces a compaction regardless of log size.
 func (s *LogStore) Compact() error {
+	if s.dir == "" {
+		return nil
+	}
 	return s.locked(s.compactLocked)
 }
 
@@ -490,7 +504,6 @@ func (s *LogStore) TornRecords() int {
 
 // Put implements Store.
 func (s *LogStore) Put(rec Record) error {
-	rec = rec.clone()
 	return s.locked(func() error {
 		return s.appendLocked(logOp{Op: opPut, Record: &rec})
 	})
@@ -498,7 +511,6 @@ func (s *LogStore) Put(rec Record) error {
 
 // Create implements Store.
 func (s *LogStore) Create(rec Record) error {
-	rec = rec.clone()
 	return s.locked(func() error {
 		if _, ok := s.tbl.get(rec.Status.ID); ok {
 			return fmt.Errorf("%w: %s", ErrExists, rec.Status.ID)

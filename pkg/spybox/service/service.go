@@ -110,7 +110,11 @@ var _ spybox.JobService = (*Service)(nil)
 // way they claim fresh submissions.
 func New(opts Options) (*Service, error) {
 	if opts.Store == nil {
-		opts.Store = NewMemStore()
+		mem, err := OpenLogStore("")
+		if err != nil {
+			return nil, err
+		}
+		opts.Store = mem
 	}
 	if opts.Cache == nil {
 		opts.Cache = NewCache()

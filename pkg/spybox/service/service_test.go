@@ -541,7 +541,7 @@ func (s *claimGetFailStore) Get(id spybox.JobID) (Record, bool, error) {
 // and unrun until the TTL expires — far beyond this test's deadline.
 func TestTransientGetFailureReleasesClaim(t *testing.T) {
 	t.Parallel()
-	st := &claimGetFailStore{Store: NewMemStore()}
+	st := &claimGetFailStore{Store: memStore(t)}
 	svc := newTestService(t, Options{
 		Workers: 1,
 		Store:   st,

@@ -1,8 +1,8 @@
-// Job persistence: the Store interface, the jobTable state machine
-// both implementations share, and MemStore (the default for tests and
-// throwaway servers). The durable implementation is LogStore (log.go):
-// an append-only record log plus compaction snapshot that N serve
-// processes can share through one directory.
+// Job persistence: the Store interface and the jobTable state machine
+// behind it. The implementation is LogStore (log.go): an append-only
+// record log plus compaction snapshot that N serve processes can share
+// through one directory, or, opened with no directory, the in-memory
+// store for tests and throwaway servers.
 //
 // Stores are also the fleet's scheduler: a worker takes work by
 // Claim-ing the next runnable job under a time-limited lease, renewing
@@ -16,9 +16,7 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"spybox/pkg/spybox"
@@ -142,10 +140,10 @@ type Store interface {
 	Release(id spybox.JobID, owner string) error
 }
 
-// jobTable is the in-memory state machine shared by MemStore and
-// LogStore: records in submission order, the runnable set, and the
-// round-robin fairness cursor. It does no locking and no copying —
-// wrappers own both.
+// jobTable is LogStore's in-memory state machine: records in
+// submission order, the runnable set, and the round-robin fairness
+// cursor. It does no locking, and it copies only in apply, which
+// clones each record it stores; LogStore locks and deep-copies reads.
 type jobTable struct {
 	byID  map[spybox.JobID]*Record
 	order []spybox.JobID
@@ -340,122 +338,4 @@ func (t *jobTable) setLease(id spybox.JobID, lease *Lease) {
 	if rec, ok := t.byID[id]; ok {
 		rec.Lease = lease
 	}
-}
-
-// MemStore is the in-memory Store: a jobTable behind a mutex, with
-// deep copies across the read boundary.
-type MemStore struct {
-	mu  sync.Mutex
-	tbl *jobTable
-	now func() time.Time // test hook; time.Now otherwise
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{tbl: newJobTable(), now: time.Now}
-}
-
-// Put implements Store.
-func (s *MemStore) Put(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tbl.put(rec.clone())
-	return nil
-}
-
-// Create implements Store.
-func (s *MemStore) Create(rec Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.tbl.get(rec.Status.ID); ok {
-		return fmt.Errorf("%w: %s", ErrExists, rec.Status.ID)
-	}
-	s.tbl.put(rec.clone())
-	return nil
-}
-
-// Get implements Store.
-func (s *MemStore) Get(id spybox.JobID) (Record, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.tbl.get(id)
-	if !ok {
-		return Record{}, false, nil
-	}
-	return rec.clone(), true, nil
-}
-
-// List implements Store.
-func (s *MemStore) List() ([]Record, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs := s.tbl.list()
-	out := make([]Record, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.clone()
-	}
-	return out, nil
-}
-
-// Delete implements Store.
-func (s *MemStore) Delete(id spybox.JobID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tbl.delete(id)
-	return nil
-}
-
-// Counts implements Store.
-func (s *MemStore) Counts() (Counts, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.tbl.counts
-	c.Leased = s.tbl.leasedCount(s.now())
-	return c, nil
-}
-
-// Claim implements Store.
-func (s *MemStore) Claim(owner string, ttl time.Duration) (Record, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	id, ok := s.tbl.pickClaim(now)
-	if !ok {
-		return Record{}, false, nil
-	}
-	s.tbl.setLease(id, &Lease{Owner: owner, Expires: now.Add(ttl)})
-	rec, _ := s.tbl.get(id)
-	return rec.clone(), true, nil
-}
-
-// Renew implements Store.
-func (s *MemStore) Renew(id spybox.JobID, owner string, ttl time.Duration) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.tbl.get(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", spybox.ErrNoJob, id)
-	}
-	// An expired-but-unclaimed lease is still renewable: had another
-	// worker claimed the job in the meantime, the owner would differ.
-	if rec.Lease == nil || rec.Lease.Owner != owner {
-		return fmt.Errorf("%w: %s on %s", ErrNotOwner, owner, id)
-	}
-	s.tbl.setLease(id, &Lease{Owner: owner, Expires: s.now().Add(ttl)})
-	return nil
-}
-
-// Release implements Store.
-func (s *MemStore) Release(id spybox.JobID, owner string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.tbl.get(id)
-	if !ok {
-		return fmt.Errorf("%w: %s", spybox.ErrNoJob, id)
-	}
-	if rec.Lease == nil || rec.Lease.Owner != owner {
-		return fmt.Errorf("%w: %s on %s", ErrNotOwner, owner, id)
-	}
-	s.tbl.setLease(id, nil)
-	return nil
 }

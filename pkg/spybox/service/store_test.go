@@ -22,6 +22,16 @@ func rec(id string, state spybox.JobState) Record {
 	}}
 }
 
+// memStore opens an in-memory store: a LogStore with no directory.
+func memStore(t *testing.T) *LogStore {
+	t.Helper()
+	s, err := OpenLogStore("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // storeContract drives any Store through put/create/replace/list/
 // delete/counts and the claim/renew/release lease cycle.
 func storeContract(t *testing.T, s Store) {
@@ -145,7 +155,7 @@ func storeContract(t *testing.T, s Store) {
 	}
 }
 
-func TestMemStore(t *testing.T) { storeContract(t, NewMemStore()) }
+func TestMemStore(t *testing.T) { storeContract(t, memStore(t)) }
 
 func TestLogStore(t *testing.T) {
 	dir := t.TempDir()
@@ -177,6 +187,39 @@ func TestLogStore(t *testing.T) {
 	}
 }
 
+// TestLogStoreClosed: a closed on-disk store refuses every operation
+// rather than carrying on in memory; only a store opened with no
+// directory is in-memory, and its Compact and Close do nothing.
+func TestLogStoreClosed(t *testing.T) {
+	s, err := OpenLogStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(rec("job-1", spybox.JobQueued)); err == nil || !strings.Contains(err.Error(), "is closed") {
+		t.Errorf("Put on a closed store: %v", err)
+	}
+	if _, err := s.List(); err == nil || !strings.Contains(err.Error(), "is closed") {
+		t.Errorf("List on a closed store: %v", err)
+	}
+
+	mem := memStore(t)
+	if err := mem.Put(rec("job-1", spybox.JobQueued)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if list, err := mem.List(); err != nil || len(list) != 1 {
+		t.Errorf("in-memory store after Compact and Close: %d records, %v", len(list), err)
+	}
+}
+
 // TestLogStoreMutationIsolation pins the deep-copy read path: mutating
 // a Record returned by Get or List must never change stored state.
 // (The old FileStore returned aliased Results slices, so a caller
@@ -186,7 +229,7 @@ func TestStoreMutationIsolation(t *testing.T) {
 		name string
 		open func(t *testing.T) Store
 	}{
-		{"mem", func(t *testing.T) Store { return NewMemStore() }},
+		{"mem", func(t *testing.T) Store { return memStore(t) }},
 		{"log", func(t *testing.T) Store {
 			s, err := OpenLogStore(t.TempDir())
 			if err != nil {
@@ -481,16 +524,17 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 		open func(t *testing.T) Store
 	}{
 		{"mem", func(t *testing.T) Store {
-			s := NewMemStore()
+			s := memStore(t)
 			s.now = clock
 			return s
 		}},
 		{"log", func(t *testing.T) Store {
-			s, err := OpenLogStore(t.TempDir(), withClock(clock))
+			s, err := OpenLogStore(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { s.Close() })
+			s.now = clock
 			return s
 		}},
 	} {
@@ -538,7 +582,7 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 // (client, batch, interactive) so one bulk submitter cannot starve
 // the rest.
 func TestClaimFairness(t *testing.T) {
-	s := NewMemStore()
+	s := memStore(t)
 	put := func(id, client, batch string) {
 		r := rec(id, spybox.JobQueued)
 		r.Status.Spec.Client = client
@@ -596,7 +640,7 @@ func TestClaimFairness(t *testing.T) {
 // equal priorities keep submission order within a group; and once the
 // urgent work drains, the bulk tier resumes round-robin.
 func TestClaimPriority(t *testing.T) {
-	s := NewMemStore()
+	s := memStore(t)
 	put := func(id, batch string, prio int) {
 		r := rec(id, spybox.JobQueued)
 		r.Status.Batch = batch
