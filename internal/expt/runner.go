@@ -114,30 +114,13 @@ func OneTrial(body func(Params) (*Result, error)) func(Params) (*Result, error) 
 // index-addressed slice, which is what makes the merge step
 // order-independent of scheduling. Each worker owns one machine slot,
 // passed to run and released after every trial, so a machine is reused
-// within a worker but never migrates between goroutines.
+// within a worker but never migrates between goroutines. One worker is
+// simply the smallest pool: trials run in index order on it.
 func runPool[T any](ctx context.Context, hooks *TrialHooks, job string, workers, n int, run func(i int, slot *sim.MachineSlot) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		slot := newTrialSlot()
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("run cancelled before trial %d/%d: %w", i, n, err)
-			}
-			hooks.start(job, i, n)
-			v, err := run(i, slot)
-			slot.Release()
-			hooks.done(job, i, n, err)
-			if err != nil {
-				return nil, fmt.Errorf("trial %d: %w", i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
 	var (
 		next      atomic.Int64
 		lowestErr atomic.Int64 // lowest failing index seen so far
