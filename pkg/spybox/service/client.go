@@ -121,25 +121,13 @@ func (c *Client) Batch(id string) (BatchStatus, error) {
 // WaitBatch polls until every job in the batch is terminal (or ctx
 // ends), with the same gentle backoff as Wait.
 func (c *Client) WaitBatch(ctx context.Context, id string) (BatchStatus, error) {
-	if ctx == nil {
-		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means poll until the batch is terminal
-		ctx = context.Background()
-	}
-	delay := 25 * time.Millisecond
-	for {
-		st, err := c.Batch(id)
-		if err != nil || st.Terminal() {
-			return st, err
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > 500*time.Millisecond {
-			delay = 500 * time.Millisecond
-		}
-	}
+	var st BatchStatus
+	err := pollUntil(ctx, func() (bool, error) {
+		var err error
+		st, err = c.Batch(id)
+		return st.Terminal(), err
+	})
+	return st, err
 }
 
 // Job implements spybox.JobService.
@@ -161,19 +149,31 @@ func (c *Client) Jobs() ([]spybox.JobStatus, error) {
 // keeps Wait robust against proxies that buffer event streams; use
 // Events for live progress.
 func (c *Client) Wait(ctx context.Context, id spybox.JobID) (spybox.JobStatus, error) {
+	var status spybox.JobStatus
+	err := pollUntil(ctx, func() (bool, error) {
+		var err error
+		status, err = c.Job(id)
+		return status.State.Terminal(), err
+	})
+	return status, err
+}
+
+// pollUntil calls done until it reports true or fails, sleeping 25ms
+// doubling to 500ms between calls, and returns ctx's error if ctx ends
+// first. A nil ctx polls until done.
+func pollUntil(ctx context.Context, done func() (bool, error)) error {
 	if ctx == nil {
 		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means wait forever, per the JobService contract
 		ctx = context.Background()
 	}
 	delay := 25 * time.Millisecond
 	for {
-		status, err := c.Job(id)
-		if err != nil || status.State.Terminal() {
-			return status, err
+		if ok, err := done(); err != nil || ok {
+			return err
 		}
 		select {
 		case <-ctx.Done():
-			return status, ctx.Err()
+			return ctx.Err()
 		case <-time.After(delay):
 		}
 		if delay *= 2; delay > 500*time.Millisecond {
