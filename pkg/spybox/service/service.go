@@ -1,7 +1,7 @@
 // Package service is the job-oriented layer above pkg/spybox: a
-// durable job store, a bounded worker pool multiplexing jobs onto
-// per-config pooled Sessions, a content-addressed result cache, and
-// an HTTP server/client pair speaking the /v1 jobs API.
+// durable job store, a bounded worker pool that opens a Session for
+// each job it runs, a content-addressed result cache, and an HTTP
+// server/client pair speaking the /v1 jobs API.
 //
 // Both halves implement spybox.JobService:
 //
@@ -47,7 +47,8 @@ const (
 
 // Options parameterize New.
 type Options struct {
-	// Store persists jobs; nil means a fresh in-memory store. Jobs left
+	// Store persists jobs; nil means a fresh in-memory store,
+	// OpenLogStore(""). Jobs left
 	// non-terminal by a previous process are not touched at startup —
 	// they are simply claimable (immediately if unleased, after lease
 	// expiry if their owner died mid-run) and re-run from scratch;
