@@ -310,11 +310,7 @@ func (s *LogStore) reloadLocked() error {
 	case err == io.EOF, !ok && err == nil:
 		// Brand-new (or torn-at-birth) log: write the header for the
 		// current generation.
-		if err := s.resetLogLocked(snapGen); err != nil {
-			return err
-		}
-		s.gen = snapGen
-		return nil
+		return s.resetLogLocked(snapGen)
 	case err != nil:
 		return err
 	default:
@@ -330,11 +326,7 @@ func (s *LogStore) reloadLocked() error {
 		// A compaction crashed after renaming the snapshot but before
 		// resetting the log. The snapshot already holds every frame of
 		// the stale log, so just complete the reset.
-		if err := s.resetLogLocked(snapGen); err != nil {
-			return err
-		}
-		s.gen = snapGen
-		return nil
+		return s.resetLogLocked(snapGen)
 	case haveSnap && hdr.Gen > snapGen:
 		return fmt.Errorf("service: job log %s is generation %d but snapshot is %d — directory corrupted", s.logPath(), hdr.Gen, snapGen)
 	case !haveSnap && hdr.Gen != 0:
@@ -408,7 +400,7 @@ func (s *LogStore) appendLocked(op logOp) error {
 }
 
 // resetLogLocked rewrites the log as just a header frame for gen,
-// fsynced.
+// fsynced, and makes gen the view's generation.
 func (s *LogStore) resetLogLocked(gen uint64) error {
 	if err := s.logF.Truncate(0); err != nil {
 		return fmt.Errorf("service: resetting job log: %w", err)
@@ -424,7 +416,7 @@ func (s *LogStore) resetLogLocked(gen uint64) error {
 	if err := s.logF.Sync(); err != nil {
 		return err
 	}
-	s.offset = int64(len(buf))
+	s.gen, s.offset = gen, int64(len(buf))
 	return nil
 }
 
@@ -465,11 +457,7 @@ func (s *LogStore) compactLocked() error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	if err := s.resetLogLocked(doc.Gen); err != nil {
-		return err
-	}
-	s.gen = doc.Gen
-	return nil
+	return s.resetLogLocked(doc.Gen)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power
@@ -594,6 +582,8 @@ func (s *LogStore) Renew(id spybox.JobID, owner string, ttl time.Duration) error
 		if !ok {
 			return fmt.Errorf("%w: %s", spybox.ErrNoJob, id)
 		}
+		// An expired-but-unclaimed lease is still renewable: had another
+		// worker claimed the job in the meantime, the owner would differ.
 		if rec.Lease == nil || rec.Lease.Owner != owner {
 			return fmt.Errorf("%w: %s on %s", ErrNotOwner, owner, id)
 		}

@@ -48,11 +48,11 @@ const (
 // Options parameterize New.
 type Options struct {
 	// Store persists jobs; nil means a fresh in-memory store,
-	// OpenLogStore(""). Jobs left
-	// non-terminal by a previous process are not touched at startup —
-	// they are simply claimable (immediately if unleased, after lease
-	// expiry if their owner died mid-run) and re-run from scratch;
-	// determinism makes the re-run identical.
+	// OpenLogStore(""). Jobs left non-terminal by a previous process
+	// are not touched at startup — they are simply claimable
+	// (immediately if unleased, after lease expiry if their owner died
+	// mid-run) and re-run from scratch; determinism makes the re-run
+	// identical.
 	Store Store
 	// Cache is the result cache; nil means a fresh empty one.
 	Cache *Cache
