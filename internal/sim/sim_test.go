@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"spybox/internal/arch"
 	"spybox/internal/l2cache"
@@ -126,6 +128,68 @@ func TestKernelPanicSurfacesFromRun(t *testing.T) {
 		}
 	}()
 	m.Run()
+}
+
+// TestKernelPanicCleansUp: after a kernel panics mid-run, Run must
+// unwind every other live kernel too. No goroutine may be left behind,
+// and the machine must Reset and then replay a fresh machine's run
+// exactly.
+func TestKernelPanicCleansUp(t *testing.T) {
+	const seed = 0xfa17
+	want := resetWorkload(t, MustNewMachine(Options{Seed: seed}))
+
+	before := runtime.NumGoroutine()
+	m := MustNewMachine(Options{Seed: seed ^ 0x77})
+	fault := errors.New("kernel fault")
+	for i := 0; i < 4; i++ {
+		i := i
+		if _, err := m.Spawn(0, "kernel", 0, func(w *Worker) {
+			for j := 0; j < 10; j++ {
+				w.TouchCG(arch.MakePA(0, uint64(0x10000*(i+1)+j*arch.CacheLineSize)))
+				if i == 2 && j == 5 {
+					panic(fault)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != fault {
+				t.Errorf("Run re-raised %v, want %v", r, fault)
+			}
+		}()
+		m.Run()
+	}()
+
+	// Exiting goroutines may take a moment to be reaped.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines left after the panicking run", after-before)
+	}
+
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Reset after a panicking run: %v", r)
+			}
+		}()
+		m.Reset(seed)
+	}()
+	got := resetWorkload(t, m)
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: reset %d vs fresh %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("run after the panic diverges from fresh at sample %d: %v vs %v", i, got[i], want[i])
+		}
+	}
 }
 
 func TestEnablePeerRequiresNVLink(t *testing.T) {
