@@ -153,10 +153,12 @@ type Cache struct {
 	lineShift int
 	//spylint:allow resetcomplete derived geometry, recomputed only when cfg changes
 	setMask uint64
+	//spylint:allow resetcomplete derived geometry, recomputed only when cfg changes
+	pageShift int
 	// pageLines is the number of lines per page.
 	//spylint:allow resetcomplete derived geometry, recomputed only when cfg changes
 	pageLines uint64
-	// regions is sets / linesPerPage, >=1.
+	// regions is sets / linesPerPage, >=1 and a power of two.
 	//spylint:allow resetcomplete derived geometry, recomputed only when cfg changes
 	regions uint64
 }
@@ -177,6 +179,7 @@ func New(cfg Config, rng *xrand.Source) (*Cache, error) {
 		stats:     make([]SetStats, cfg.Sets),
 		lineShift: bits.TrailingZeros64(uint64(cfg.LineSize)),
 		setMask:   uint64(cfg.Sets - 1),
+		pageShift: bits.TrailingZeros64(uint64(cfg.PageSize)),
 		pageLines: uint64(cfg.LinesPerPage()),
 	}
 	c.regions = 1
@@ -219,8 +222,8 @@ func (c *Cache) SetIndex(pa arch.PA) int {
 	line := uint64(pa) >> c.lineShift
 	idx := line & c.setMask
 	if c.cfg.HashIndex && c.regions > 1 {
-		frame := uint64(pa) / uint64(c.cfg.PageSize)
-		region := mix64(frame) % c.regions
+		frame := uint64(pa) >> c.pageShift
+		region := mix64(frame) & (c.regions - 1)
 		// Replace the above-page index bits with the hashed region.
 		idx = (idx & (c.pageLines - 1)) | region*c.pageLines
 	}
@@ -238,23 +241,48 @@ func (c *Cache) tagOf(pa arch.PA) uint64 {
 // the replacement policy. It returns whether the access hit and which
 // set it touched.
 //
+// Fills never touch ways at or beyond an active partition, and the
+// partition flush left them invalid, so one scan of the ways below it
+// finds the hit, the first invalid way and the LRU way.
+//
 //spylint:hotpath
 func (c *Cache) Access(pa arch.PA) (hit bool, set int) {
 	set = c.SetIndex(pa)
 	tag := c.tagOf(pa)
 	c.stamp++
 	ws := c.set(set)
+	if c.partWays > 0 {
+		ws = ws[:c.partWays]
+	}
+	free, lru := -1, 0
 	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
+		switch {
+		case !ws[i].valid:
+			if free < 0 {
+				free = i
+			}
+		case ws[i].tag == tag:
 			ws[i].used = c.stamp
 			c.hits++
 			c.stats[set].Hits++
 			return true, set
+		case ws[i].used < ws[lru].used:
+			lru = i
 		}
 	}
 	c.misses++
 	c.stats[set].Misses++
-	c.fillLine(set, tag)
+	// Fill the first invalid way, or else evict per the policy.
+	victim := free
+	if victim < 0 {
+		c.evictions++
+		victim = lru
+		if c.cfg.Policy == RandomRepl {
+			victim = c.rng.Intn(len(ws))
+		}
+	}
+	c.fills++
+	ws[victim] = way{valid: true, tag: tag, used: c.stamp}
 	return false, set
 }
 
@@ -295,37 +323,6 @@ func (c *Cache) SetPartition(ways int) error {
 
 // PartitionWays returns the active partition width (0 = full set).
 func (c *Cache) PartitionWays() int { return c.partWays }
-
-// fillLine inserts the tag into the set, evicting if necessary.
-func (c *Cache) fillLine(set int, tag uint64) {
-	ws := c.set(set)
-	if c.partWays > 0 {
-		ws = ws[:c.partWays]
-	}
-	victim := -1
-	for i := range ws {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		c.evictions++
-		switch c.cfg.Policy {
-		case RandomRepl:
-			victim = c.rng.Intn(len(ws))
-		default: // LRU
-			victim = 0
-			for i := 1; i < len(ws); i++ {
-				if ws[i].used < ws[victim].used {
-					victim = i
-				}
-			}
-		}
-	}
-	c.fills++
-	ws[victim] = way{valid: true, tag: tag, used: c.stamp}
-}
 
 // Totals returns machine counters since construction or the last
 // ResetStats.
