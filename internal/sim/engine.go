@@ -1,47 +1,56 @@
+//go:build go1.23
+
 // Package sim contains the conservative discrete-event engine that
 // executes simulated GPU kernels and the Machine that ties devices,
 // interconnect, and physical memory together.
 //
-// Kernels are ordinary Go functions running in goroutines. Every
-// shared-hardware interaction (an L2/HBM access, a warp-parallel
-// probe, a streaming touch) is one *event*: the worker parks with a
-// pending request, and the parked worker with the smallest local clock
-// (ties broken by worker ID) is serviced and resumed next. Because
-// exactly one worker executes at a time, the simulation is fully
-// serialized and deterministic: identical seeds give identical
-// cycle-for-cycle runs, including all timing jitter.
+// Kernels are ordinary Go functions, each running on a coroutine
+// (iter.Pull). Every shared-hardware interaction (an L2/HBM access, a
+// warp-parallel probe, a streaming touch) is one *event*: the worker
+// parks with a pending request, and the parked worker with the
+// smallest local clock (ties broken by worker ID) is serviced and
+// resumed next. Because exactly one worker executes at a time, the
+// simulation is fully serialized and deterministic: identical seeds
+// give identical cycle-for-cycle runs, including all timing jitter.
 //
-// There is no host loop and no lock. Control is a baton, and only its
-// holder touches engine or hardware state. A parking worker pushes
-// itself onto the parked heap (an indexed min-heap keyed by
-// (clock, id), see sched.go), pops the minimal worker, services that
-// worker's request and hands it the baton over its wake channel. When
-// the minimal worker is the parker itself — a lone kernel, or one
-// running behind its peers' clocks — it just carries on, with no
-// goroutine switch at all. A finishing worker dispatches the next one
-// the same way; the last one signals the engine's done channel. The
-// channel handoffs are also the happens-before edges that make the
-// serialized state race-free.
+// There is no lock. Control is a baton, and only its holder touches
+// engine or hardware state. A parking worker pushes itself onto the
+// parked heap (an indexed min-heap keyed by (clock, id), see sched.go),
+// pops the minimal worker and services that worker's request. When the
+// minimal worker is the parker itself — a lone kernel, or one running
+// behind its peers' clocks — it just carries on. Otherwise it records
+// the next worker and suspends, and Machine.Run's loop resumes that
+// one. A coroutine switch stays on the calling thread, so handing the
+// baton on never wakes another OS thread, and a worker's panic
+// surfaces from its resume on Run's goroutine. A coroutine whose body
+// returned idles on a small process-wide free list until a later
+// Spawn, on any machine, reuses it.
 //
 // This mirrors how the attacks see the machine: each thread block has
 // its own clock() domain, while the L2s, HBM and NVLink are globally
 // shared and ordered.
 package sim
 
+import (
+	"iter"
+	"sync"
+)
+
 // engine serializes workers by simulated time. Its state belongs to
-// the baton holder: a worker goroutine during a run, the caller of
-// Machine.Run (or Spawn, Reset) between runs.
+// the baton holder: a worker during a run, the caller of Machine.Run
+// (or Spawn, Reset) between runs.
 type engine struct {
 	parked  parkedHeap
 	nextID  int
 	eventNo uint64
-	// done ends a run: nil once the last worker finishes, or the value
-	// a worker goroutine panicked with, for runAll to re-raise.
-	done chan any
+	// next is the worker dispatch popped last: the one runAll resumes
+	// next, or nil once no worker is left. It is set before that
+	// worker's request is serviced, so an aborting run finds it.
+	next *Worker
 }
 
 func newEngine() *engine {
-	return &engine{done: make(chan any, 1)}
+	return &engine{}
 }
 
 // reset rewinds the engine to its freshly constructed state so worker
@@ -53,46 +62,100 @@ func (e *engine) reset() {
 	}
 	e.nextID = 0
 	e.eventNo = 0
+	e.next = nil
 }
 
 // register parks a new worker at its launch clock with no pending
-// request and starts its goroutine, which waits for the baton before
-// touching any shared state.
+// request and hands its body to a coroutine, which first runs it when
+// runAll resumes the worker.
 func (e *engine) register(w *Worker, body func(*Worker)) {
 	w.id = e.nextID
 	e.nextID++
 	w.heapIdx = noHeapIdx
-	w.wake = make(chan struct{}, 1)
 	// Every live worker may be parked at once (a launch storm parks all
 	// blocks at clock 0): the parked ones, this one, and the spawning
 	// baton holder. Size the heap for that now so the event loop never
 	// grows it.
 	e.parked.grow(e.parked.len() + 2)
 	e.parked.push(w)
-
-	go func() {
-		defer func() {
-			// A panic from the body, or from servicing an event while
-			// this goroutine held the baton, surfaces from Machine.Run.
-			if r := recover(); r != nil {
-				e.done <- r
-			}
-		}()
-		growStack()
-		<-w.wake
-		body(w)
-		w.done = true
-		e.pass(e.dispatch())
-	}()
+	w.co = getCoro()
+	w.co.body = func() { body(w) }
 }
 
-// stackPad sizes growStack's frame so a worker's goroutine stack grows
+// coro is a reusable worker coroutine that runs one body after
+// another. resume runs it until it suspends, reporting whether the
+// body has returned; suspend, called from inside the body, hands
+// control back to resume's caller and reports false when stop is
+// unwinding the coroutine. Between bodies it holds no body, so an idle
+// coroutine references no worker or machine.
+type coro struct {
+	resume  func() (finished, alive bool)
+	suspend func(finished bool) bool
+	stop    func()
+	body    func()
+}
+
+// maxIdleCoros bounds the free list. Past it, a finished coroutine
+// exits instead.
+const maxIdleCoros = 256
+
+// coroPool is the free list of idle coroutines. Reuse saves each Spawn
+// the coroutine's allocations and goroutine start. It matters most
+// under the race detector, which keeps the state of every coroutine
+// that ever exited.
+//
+//spylint:allow detrand an idle coroutine holds no body and no simulated state; which one runs a body cannot change it
+var coroPool struct {
+	sync.Mutex
+	idle []*coro
+}
+
+// getCoro takes an idle coroutine, or starts a new one.
+func getCoro() *coro {
+	coroPool.Lock()
+	if n := len(coroPool.idle); n > 0 {
+		c := coroPool.idle[n-1]
+		coroPool.idle = coroPool.idle[:n-1]
+		coroPool.Unlock()
+		return c
+	}
+	coroPool.Unlock()
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(func(suspend func(bool) bool) {
+		growStack()
+		c.suspend = suspend
+		for {
+			c.body()
+			c.body = nil
+			if !c.suspend(true) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// putCoro returns a coroutine whose body has returned to the free
+// list, or stops it when the list is full.
+func putCoro(c *coro) {
+	coroPool.Lock()
+	keep := len(coroPool.idle) < maxIdleCoros
+	if keep {
+		coroPool.idle = append(coroPool.idle, c)
+	}
+	coroPool.Unlock()
+	if !keep {
+		c.stop()
+	}
+}
+
+// stackPad sizes growStack's frame so a worker's coroutine stack grows
 // from the runtime's 2 KB start straight to 8 KB, which holds a kernel
 // body plus, while the worker holds the baton, the whole event-service
 // call chain.
 const stackPad = 6 << 10
 
-// growStack grows a fresh worker goroutine's stack in one step, while
+// growStack grows a fresh worker coroutine's stack in one step, while
 // it is still empty and cheap to copy. Otherwise, in a process whose
 // runtime has not yet learned a larger starting size, every kernel's
 // stack grows by doubling mid-event, each time copying the deep
@@ -109,29 +172,36 @@ func growStack() {
 //go:noinline
 func keep([]byte) {}
 
+// stopSignal unwinds a suspended worker's body when its run aborts.
+type stopSignal struct{}
+
 // yield parks the worker with a pending request and returns once the
 // request has been serviced. The parking worker dispatches the next
-// event itself; it blocks only when that event belongs to another
-// worker, until the baton comes back.
+// event itself; it suspends only when that event belongs to another
+// worker, until runAll resumes it.
 //
 //spylint:hotpath
 func (w *Worker) yield(req *request) {
 	e := w.eng
 	w.pending = req
 	e.parked.push(w)
-	if next := e.dispatch(); next != w {
-		next.wake <- struct{}{}
-		<-w.wake
+	if e.dispatch() != w {
+		//spylint:allow hotalloc suspend is iter.Pull's yield, a coroutine switch that does not allocate
+		if !w.co.suspend(false) {
+			panic(stopSignal{})
+		}
 	}
 }
 
-// dispatch pops the (clock, id)-minimal parked worker, services its
-// pending request and returns it as the next baton holder, or nil when
-// no worker is left. Only the baton holder may call it.
+// dispatch pops the (clock, id)-minimal parked worker into e.next,
+// services its pending request and returns it as the next baton
+// holder, or nil when no worker is left. Only the baton holder may
+// call it.
 //
 //spylint:hotpath
 func (e *engine) dispatch() *Worker {
 	w := e.parked.popMin()
+	e.next = w
 	if w == nil {
 		return nil
 	}
@@ -145,21 +215,54 @@ func (e *engine) dispatch() *Worker {
 	return w
 }
 
-// pass hands the baton to next, or ends the run when next is nil.
-func (e *engine) pass(next *Worker) {
-	if next == nil {
-		e.done <- nil
-		return
+// runAll runs every registered worker to completion, resuming each
+// baton holder in turn. A panic from a worker body or from an event's
+// service propagates out of the resume, and so out of runAll, after
+// abort has unwound the other workers.
+func (e *engine) runAll() {
+	defer e.abort()
+	e.dispatch()
+	for e.next != nil {
+		w := e.next
+		if finished, _ := w.co.resume(); finished {
+			w.done = true
+			putCoro(w.co)
+			w.co = nil
+			e.dispatch()
+		}
 	}
-	next.wake <- struct{}{}
 }
 
-// runAll runs every registered worker to completion. It hands out the
-// first baton and waits for the run to end, re-raising on the caller's
-// goroutine any panic from a worker body or from an event's service.
-func (e *engine) runAll() {
-	e.pass(e.dispatch())
-	if r := <-e.done; r != nil {
-		panic(r)
+// abort stops the coroutines a panicking run leaves behind: the worker
+// popped last, if any, and every parked one. Stopping a suspended
+// worker unwinds its body, running its defers (a kernel's block
+// reservation release among them). After a clean run there is nothing
+// to stop.
+func (e *engine) abort() {
+	if e.next != nil {
+		e.next.abort()
+		e.next = nil
+	}
+	for w := e.parked.popMin(); w != nil; w = e.parked.popMin() {
+		w.abort()
+	}
+}
+
+// abort stops the worker's coroutine, swallowing the stopSignal its
+// body unwinds with. Stopping the coroutine of a body that panicked is
+// a no-op.
+func (w *Worker) abort() {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopSignal); !ok {
+				panic(r)
+			}
+		}
+	}()
+	w.done = true
+	w.pending = nil
+	if c := w.co; c != nil {
+		w.co = nil
+		c.stop()
 	}
 }

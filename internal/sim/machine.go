@@ -84,7 +84,7 @@ type Machine struct {
 	// line access, and at the handful of concurrently live workers an
 	// attack runs, a linear stamp/count/prune pass does no hashing and
 	// no per-access garbage.
-	lastTouch [][]touchRec
+	lastTouch []touchLog
 
 	runMu sync.Mutex
 
@@ -95,6 +95,18 @@ type Machine struct {
 // contentionWindow is how many engine events back a worker still
 // counts as "concurrently active" on an L2.
 const contentionWindow = 96
+
+// touchLog is one device's recent accessors, plus the result of the
+// last stamp/count/prune pass over them. Within one event the worker,
+// the event number and every done flag are fixed, so each further line
+// of a probe or stream to the device would get the same count from the
+// pass and change nothing: jitterFor reuses others while ev is the
+// current event.
+type touchLog struct {
+	recs   []touchRec
+	ev     uint64
+	others int
+}
 
 // touchRec records one worker's most recent event on a device's L2.
 // Holding the *Worker rather than its ID lets the liveness check read
@@ -152,7 +164,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	devCfg := gpu.FromProfile(prof)
 	devCfg.Cache = opts.CacheCfg
 	m.peerEnabled = make([][]bool, n)
-	m.lastTouch = make([][]touchRec, n)
+	m.lastTouch = make([]touchLog, n)
 	for i := 0; i < n; i++ {
 		d, err := gpu.New(arch.DeviceID(i), devCfg, root.Split())
 		if err != nil {
@@ -190,7 +202,7 @@ func (m *Machine) Reset(seed uint64) {
 	for i, d := range m.devices {
 		d.Reset(m.root)
 		clear(m.peerEnabled[i])
-		m.lastTouch[i] = m.lastTouch[i][:0]
+		m.lastTouch[i] = touchLog{recs: m.lastTouch[i].recs[:0]}
 	}
 	m.pidCtr.Store(0)
 }
@@ -331,7 +343,7 @@ type request struct {
 type Worker struct {
 	eng     *engine
 	m       *Machine
-	wake    chan struct{} // receives the engine's baton
+	co      *coro // runs the body; nil once it has returned
 	id      int
 	name    string
 	dev     arch.DeviceID
@@ -382,7 +394,7 @@ func (m *Machine) Run() {
 	m.eng.runAll()
 }
 
-// --- Worker-facing operations (called from kernel goroutines) ---
+// --- Worker-facing operations (called from kernel coroutines) ---
 
 // Name returns the worker's debug name.
 func (w *Worker) Name() string { return w.name }
@@ -641,35 +653,38 @@ func (m *Machine) accessLine(w *Worker, pa arch.PA) (arch.Cycles, bool) {
 // recently active on the same L2 — the port/bank contention that
 // drives the Fig. 9 error-rate curve.
 func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
-	// One linear pass over the device's recent accessors: stamp w,
-	// count live others within the window, and compact stale records
-	// out in place. No hashing, no map churn — this runs per line.
+	// One linear pass over the device's recent accessors per event:
+	// stamp w, count live others within the window, and compact stale
+	// records out in place. No hashing, no map churn. Events are
+	// numbered from 1, so a zero touchLog never matches.
 	now := m.eng.eventNo
-	recs := m.lastTouch[home]
-	kept := recs[:0]
-	others := 0
-	stamped := false
-	for _, r := range recs {
-		if r.w == w {
-			r.ev = now
-			stamped = true
-		} else if r.w.done || now-r.ev > contentionWindow {
-			// Only live workers within the recency window count: a
-			// worker from a finished kernel cannot contend for ports.
-			continue
-		} else {
-			others++
+	t := &m.lastTouch[home]
+	if t.ev != now {
+		kept := t.recs[:0]
+		others := 0
+		stamped := false
+		for _, r := range t.recs {
+			if r.w == w {
+				r.ev = now
+				stamped = true
+			} else if r.w.done || now-r.ev > contentionWindow {
+				// Only live workers within the recency window count: a
+				// worker from a finished kernel cannot contend for ports.
+				continue
+			} else {
+				others++
+			}
+			kept = append(kept, r)
 		}
-		kept = append(kept, r)
+		if !stamped {
+			kept = append(kept, touchRec{w: w, ev: now})
+		}
+		t.recs, t.ev, t.others = kept, now, others
 	}
-	if !stamped {
-		kept = append(kept, touchRec{w: w, ev: now})
-	}
-	m.lastTouch[home] = kept
 	if m.noiseOff {
 		return 0
 	}
-	sigma := m.lat.JitterSigma + m.contSigmaPer*float64(others)
+	sigma := m.lat.JitterSigma + m.contSigmaPer*float64(t.others)
 	j := m.jitter.NormSigma(sigma)
 	if j < 0 {
 		// Latencies have a hard floor; fold the negative tail back so
@@ -683,7 +698,7 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 // within the trailing contention window (diagnostic hook).
 func (m *Machine) ContentionLevel(dev arch.DeviceID) int {
 	n := 0
-	for _, r := range m.lastTouch[dev] {
+	for _, r := range m.lastTouch[dev].recs {
 		if m.eng.eventNo-r.ev <= contentionWindow {
 			n++
 		}
