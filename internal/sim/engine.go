@@ -122,7 +122,6 @@ func getCoro() *coro {
 	coroPool.Unlock()
 	c := &coro{}
 	c.resume, c.stop = iter.Pull(func(suspend func(bool) bool) {
-		growStack()
 		c.suspend = suspend
 		for {
 			c.body()
@@ -148,29 +147,6 @@ func putCoro(c *coro) {
 		c.stop()
 	}
 }
-
-// stackPad sizes growStack's frame so a worker's coroutine stack grows
-// from the runtime's 2 KB start straight to 8 KB, which holds a kernel
-// body plus, while the worker holds the baton, the whole event-service
-// call chain.
-const stackPad = 6 << 10
-
-// growStack grows a fresh worker coroutine's stack in one step, while
-// it is still empty and cheap to copy. Otherwise, in a process whose
-// runtime has not yet learned a larger starting size, every kernel's
-// stack grows by doubling mid-event, each time copying the deep
-// service call chain.
-//
-//go:noinline
-func growStack() {
-	var pad [stackPad]byte
-	keep(pad[:])
-}
-
-// keep stops the compiler from eliding growStack's pad.
-//
-//go:noinline
-func keep([]byte) {}
 
 // stopSignal unwinds a suspended worker's body when its run aborts.
 type stopSignal struct{}
