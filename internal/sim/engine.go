@@ -49,10 +49,6 @@ type engine struct {
 	next *Worker
 }
 
-func newEngine() *engine {
-	return &engine{}
-}
-
 // reset rewinds the engine to its freshly constructed state so worker
 // IDs and event numbers replay identically on a reused machine. It is
 // only legal between runs, when no workers exist.
@@ -68,7 +64,7 @@ func (e *engine) reset() {
 // register parks a new worker at its launch clock with no pending
 // request and hands its body to a coroutine, which first runs it when
 // runAll resumes the worker.
-func (e *engine) register(w *Worker, body func(*Worker)) {
+func (e *engine) register(w *Worker, body func()) {
 	w.id = e.nextID
 	e.nextID++
 	w.heapIdx = noHeapIdx
@@ -79,7 +75,7 @@ func (e *engine) register(w *Worker, body func(*Worker)) {
 	e.parked.grow(e.parked.len() + 2)
 	e.parked.push(w)
 	w.co = getCoro()
-	w.co.body = func() { body(w) }
+	w.co.body = body
 }
 
 // coro is a reusable worker coroutine that runs one body after

@@ -148,7 +148,7 @@ func NewMachine(opts Options) (*Machine, error) {
 		prof:          prof,
 		topo:          opts.Topology,
 		phys:          vmem.NewPhysMem(n),
-		eng:           newEngine(),
+		eng:           &engine{},
 		root:          root,
 		jitter:        root.Split(),
 		lat:           prof.Lat,
@@ -373,7 +373,7 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 		return nil, err
 	}
 	w := &Worker{m: m, eng: m.eng, dev: dev, name: name, res: res}
-	m.eng.register(w, func(w *Worker) {
+	m.eng.register(w, func() {
 		defer w.res.Release()
 		body(w)
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	"spybox/internal/arch"
 	"spybox/internal/l2cache"
@@ -138,6 +137,15 @@ func TestKernelPanicCleansUp(t *testing.T) {
 	const seed = 0xfa17
 	want := resetWorkload(t, MustNewMachine(Options{Seed: seed}))
 
+	// Idle pooled coroutines are goroutines too: empty the free list so
+	// the count sees only what the run leaves behind.
+	coroPool.Lock()
+	idle := coroPool.idle
+	coroPool.idle = nil
+	coroPool.Unlock()
+	for _, c := range idle {
+		c.stop()
+	}
 	before := runtime.NumGoroutine()
 	m := MustNewMachine(Options{Seed: seed ^ 0x77})
 	fault := errors.New("kernel fault")
@@ -163,13 +171,7 @@ func TestKernelPanicCleansUp(t *testing.T) {
 		m.Run()
 	}()
 
-	// Exiting goroutines may take a moment to be reaped.
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-		after = runtime.NumGoroutine()
-	}
-	if after > before {
+	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines left after the panicking run", after-before)
 	}
 
