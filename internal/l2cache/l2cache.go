@@ -272,7 +272,6 @@ func (c *Cache) Access(pa arch.PA) (hit bool, set int) {
 	}
 	c.misses++
 	c.stats[set].Misses++
-	// Fill the first invalid way, or else evict per the policy.
 	victim := free
 	if victim < 0 {
 		c.evictions++

@@ -222,7 +222,8 @@ func (e *engine) abort() {
 
 // abort stops the worker's coroutine, swallowing the stopSignal its
 // body unwinds with. Stopping the coroutine of a body that panicked is
-// a no-op.
+// a no-op. The worker counts as done, so a later run on the machine
+// never counts it as a contender in jitterFor.
 func (w *Worker) abort() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -232,7 +233,6 @@ func (w *Worker) abort() {
 		}
 	}()
 	w.done = true
-	w.pending = nil
 	if c := w.co; c != nil {
 		w.co = nil
 		c.stop()
