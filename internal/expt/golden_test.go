@@ -12,16 +12,17 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 
 // goldenExperiments are the reports frozen in testdata: one timing
 // characterization, one geometry reverse-engineering, and one covert
-// transmission — the three layers the Profile refactor must not move
-// by a single byte on the paper's machine.
+// transmission — three layers no change may move by a single byte on
+// the paper's machine unnoticed.
 var goldenExperiments = []string{"fig4", "table1", "fig10"}
 
 // TestGoldenP100 asserts that the p100-dgx1 profile (requested
 // explicitly, the way `spybox run -arch p100-dgx1` does) reproduces
-// the pre-Profile-refactor reports byte-for-byte at the default seed.
-// testdata/golden_p100_small.txt was generated by the pre-refactor
-// code; regenerating it with -update defeats the test's purpose
-// unless the output change is intended and reviewed.
+// the reference reports byte-for-byte at the default seed. The
+// testdata files are pinned at the current sim.ModelVersion;
+// regenerating them with -update defeats the test's purpose unless the
+// output change is intended, reviewed, and comes with a model version
+// bump (TestGoldenDecisions then shows what the new epoch kept).
 func TestGoldenP100(t *testing.T) {
 	t.Parallel()
 	checkGolden(t, "p100-dgx1", goldenExperiments, "golden_p100_small.txt")

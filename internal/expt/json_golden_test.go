@@ -14,14 +14,15 @@ import (
 // change to the document layout, record kinds, field keys/units, or
 // metric encoding shows up as a golden diff — and a deliberate change
 // must come with a schema version bump (see report.Schema and the
-// version policy in the README).
+// version policy in the README). A change of values alone, same shape,
+// is a simulator model change and bumps sim.ModelVersion instead.
 var jsonGoldenExperiments = []string{"fig4", "fig9"}
 
 // TestGoldenJSON pins the schema-versioned JSON encoding at the
 // default seed, then round-trips the golden document: decoding and
 // re-encoding must reproduce it byte-for-byte, the stability external
 // tooling relies on. Regenerate with -update only alongside a
-// reviewed schema change.
+// reviewed schema or model version change.
 func TestGoldenJSON(t *testing.T) {
 	t.Parallel()
 	p := Params{Seed: 20230612, Scale: Small, Parallel: 1, Arch: "p100-dgx1"}
@@ -55,7 +56,7 @@ func TestGoldenJSON(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Errorf("%s JSON diverged from the golden schema file.\n"+
 					"got %d bytes, want %d; first divergence near byte %d\n"+
-					"(an intended layout change needs a report.Schema version bump)",
+					"(intended new values need a sim.ModelVersion bump; only a layout change needs a report.Schema bump)",
 					id, buf.Len(), len(want), firstDiff(buf.Bytes(), want))
 			}
 

@@ -86,6 +86,12 @@ type Machine struct {
 	// no per-access garbage.
 	lastTouch []touchLog
 
+	// jitterLevels[l] samples the jitter of an access with l other
+	// live workers contending (see jitter.go). Spawn grows it to the
+	// live-worker count, which bounds l, so jitterFor only indexes.
+	//spylint:allow resetcomplete each table is a pure function of the config-derived sigmas, so a reused machine's longer list draws the same values
+	jitterLevels []*jitterTable
+
 	runMu sync.Mutex
 
 	// pidCtr allocates process IDs for this machine (see AllocPID).
@@ -377,6 +383,9 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 		defer w.res.Release()
 		body(w)
 	})
+	// Every live worker is parked now except, during a run, the
+	// spawning baton holder, so no access sees more others than this.
+	m.growJitterLevels(m.eng.parked.len())
 	return w, nil
 }
 
@@ -684,14 +693,11 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 	if m.noiseOff {
 		return 0
 	}
-	sigma := m.lat.JitterSigma + m.contSigmaPer*float64(t.others)
-	j := m.jitter.NormSigma(sigma)
-	if j < 0 {
-		// Latencies have a hard floor; fold the negative tail back so
-		// the mean stays near nominal but dispersion is preserved.
-		j = -j / 2
-	}
-	return arch.Cycles(j + 0.5)
+	// The law of N(0, JitterSigma + contSigmaPer·others) with its
+	// negative tail folded to -j/2 — latencies have a hard floor, so the
+	// mean stays near nominal but dispersion is preserved — rounded to
+	// whole cycles.
+	return m.jitterLevels[t.others].draw(m.jitter.Uint64())
 }
 
 // ContentionLevel reports how many distinct workers touched dev's L2

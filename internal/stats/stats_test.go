@@ -164,7 +164,7 @@ func TestKMeans1DFourClusters(t *testing.T) {
 	trueCenters := []float64{268, 440, 630, 950}
 	for _, c := range trueCenters {
 		for i := 0; i < 200; i++ {
-			xs = append(xs, c+rng.NormSigma(8))
+			xs = append(xs, c+rng.Norm()*8)
 		}
 	}
 	centers, assign := KMeans1D(xs, 4)

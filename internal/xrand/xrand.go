@@ -146,14 +146,6 @@ func (s *Source) Norm() float64 {
 	}
 }
 
-// NormSigma returns a normal deviate with mean 0 and the given sigma.
-func (s *Source) NormSigma(sigma float64) float64 {
-	if sigma <= 0 {
-		return 0
-	}
-	return s.Norm() * sigma
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

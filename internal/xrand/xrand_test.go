@@ -108,16 +108,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestNormSigmaZero(t *testing.T) {
-	s := New(1)
-	if got := s.NormSigma(0); got != 0 {
-		t.Fatalf("NormSigma(0) = %v, want 0", got)
-	}
-	if got := s.NormSigma(-3); got != 0 {
-		t.Fatalf("NormSigma(-3) = %v, want 0", got)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(9)
 	cfg := &quick.Config{MaxCount: 50}

@@ -4,7 +4,8 @@
 // bytes instead of a re-simulation. Parallel is deliberately not part
 // of the key: it changes wall time, never results. The schema version
 // is part of the key so a build that changes the report layout can
-// never serve a stale shape.
+// never serve a stale shape, and the model version so a build whose
+// simulator draws different numbers never serves another's values.
 
 package service
 
@@ -16,17 +17,23 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spybox/pkg/spybox"
 	"spybox/pkg/spybox/report"
 )
 
 // CacheKey addresses one experiment result by content: the report
-// schema version plus every Config field results depend on, plus the
-// experiment ID. Callers pass normalized values (defaulted seed,
-// canonical scale spelling, resolved profile name) so equivalent specs
-// share an entry.
+// schema version, the simulator's model version, every Config field
+// results depend on, and the experiment ID. Callers pass normalized
+// values (defaulted seed, canonical scale spelling, resolved profile
+// name) so equivalent specs share an entry.
 func CacheKey(seed uint64, scale, arch, experiment string) string {
+	return cacheKey(spybox.ModelVersion, seed, scale, arch, experiment)
+}
+
+// cacheKey is CacheKey under the given model version.
+func cacheKey(model string, seed uint64, scale, arch, experiment string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00%s\x00%s\x00%s", report.Schema, seed, scale, arch, experiment)
+	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%s\x00%s\x00%s", report.Schema, model, seed, scale, arch, experiment)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"testing"
 
+	"spybox/pkg/spybox"
 	"spybox/pkg/spybox/report"
 )
 
@@ -13,6 +14,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"scale":      CacheKey(1, "paper", "p100-dgx1", "fig4"),
 		"arch":       CacheKey(1, "small", "v100-dgx2", "fig4"),
 		"experiment": CacheKey(1, "small", "p100-dgx1", "fig9"),
+		"model":      cacheKey(spybox.ModelVersion+"-other", 1, "small", "p100-dgx1", "fig4"),
 	} {
 		if other == base {
 			t.Errorf("key ignores %s", name)

@@ -32,12 +32,20 @@ import (
 	"time"
 
 	"spybox/internal/expt"
+	"spybox/internal/sim"
 	"spybox/pkg/spybox/report"
 )
 
 // DefaultSeed is the root seed the repository's reference reports are
 // generated with.
 const DefaultSeed uint64 = 20230612
+
+// ModelVersion names the simulator's timing model. Results are a pure
+// function of (seed, scale, arch, experiment) within one model
+// version; a build whose simulator draws different numbers at the
+// same seed carries a different one. The service's cache keys include
+// it.
+const ModelVersion = sim.ModelVersion
 
 // Scale selects experiment sizing; see the Small/Default/Paper
 // constants.
