@@ -26,9 +26,7 @@ const ModelVersion = "sim/2"
 
 // jitterTable is the alias table of the jitter law for one sigma.
 // Tables are immutable once built and shared by every machine.
-type jitterTable struct {
-	cols []aliasCol
-}
+type jitterTable []aliasCol
 
 // aliasCol is one column of an alias table: a draw that lands in
 // column i yields i when its coin falls below thresh, else alias.
@@ -40,9 +38,9 @@ type aliasCol struct {
 // draw maps 64 uniform bits to a jitter value. The high word of u·n
 // picks the column and the low word is the coin; for a given column
 // the low word is uniform on [0, 2^64) to within n/2^64.
-func (t *jitterTable) draw(u uint64) arch.Cycles {
-	i, coin := bits.Mul64(u, uint64(len(t.cols)))
-	c := &t.cols[i]
+func (t jitterTable) draw(u uint64) arch.Cycles {
+	i, coin := bits.Mul64(u, uint64(len(t)))
+	c := &t[i]
 	if coin < c.thresh {
 		return arch.Cycles(i)
 	}
@@ -81,7 +79,7 @@ func jitterPMF(sigma float64) []float64 {
 }
 
 // newJitterTable builds the alias table of pmf, normalizing it first.
-func newJitterTable(pmf []float64) *jitterTable {
+func newJitterTable(pmf []float64) jitterTable {
 	n := len(pmf)
 	var sum float64
 	for _, p := range pmf {
@@ -99,14 +97,14 @@ func newJitterTable(pmf []float64) *jitterTable {
 			large = append(large, i)
 		}
 	}
-	cols := make([]aliasCol, n)
+	t := make(jitterTable, n)
 	for len(small) > 0 && len(large) > 0 {
 		s := small[len(small)-1]
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		// Rounding can leave a donor a hair below zero; its coin then
 		// never comes up, which is what a zero share means.
-		cols[s] = aliasCol{thresh: uint64(max(scaled[s], 0) * 0x1p64), alias: uint32(l)}
+		t[s] = aliasCol{thresh: uint64(max(scaled[s], 0) * 0x1p64), alias: uint32(l)}
 		scaled[l] -= 1 - scaled[s]
 		if scaled[l] < 1 {
 			large = large[:len(large)-1]
@@ -115,9 +113,9 @@ func newJitterTable(pmf []float64) *jitterTable {
 	}
 	// What is left is full to within rounding: it keeps its own value.
 	for _, i := range append(small, large...) {
-		cols[i] = aliasCol{thresh: math.MaxUint64, alias: uint32(i)}
+		t[i] = aliasCol{thresh: math.MaxUint64, alias: uint32(i)}
 	}
-	return &jitterTable{cols: cols}
+	return t
 }
 
 // jitterTables caches one table per sigma for the whole process, keyed
@@ -126,19 +124,19 @@ func newJitterTable(pmf []float64) *jitterTable {
 //spylint:allow detrand a table is a pure function of its sigma; which caller builds it first cannot change it
 var jitterTables struct {
 	sync.Mutex
-	bySigma map[uint64]*jitterTable
+	bySigma map[uint64]jitterTable
 }
 
 // jitterTableFor returns the shared table for sigma, building it on
 // first use.
-func jitterTableFor(sigma float64) *jitterTable {
+func jitterTableFor(sigma float64) jitterTable {
 	key := math.Float64bits(sigma)
 	jitterTables.Lock()
 	defer jitterTables.Unlock()
 	t := jitterTables.bySigma[key]
 	if t == nil {
 		if jitterTables.bySigma == nil {
-			jitterTables.bySigma = make(map[uint64]*jitterTable)
+			jitterTables.bySigma = make(map[uint64]jitterTable)
 		}
 		t = newJitterTable(jitterPMF(sigma))
 		jitterTables.bySigma[key] = t

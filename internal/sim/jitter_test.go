@@ -37,10 +37,10 @@ func tailMass(k int, sigma float64) float64 {
 // impliedPMF is the law a table's draws follow: a draw picks each
 // column with probability 1/n, then the column's own value with its
 // coin's probability and its alias otherwise.
-func impliedPMF(t *jitterTable) []float64 {
-	n := len(t.cols)
+func impliedPMF(t jitterTable) []float64 {
+	n := len(t)
 	p := make([]float64, n)
-	for i, c := range t.cols {
+	for i, c := range t {
 		own := float64(c.thresh) / 0x1p64 // MaxUint64 rounds to 1
 		p[i] += own / float64(n)
 		p[c.alias] += (1 - own) / float64(n)
@@ -56,7 +56,7 @@ func TestJitterTableMatchesClosedForm(t *testing.T) {
 	for _, level := range lawLevels {
 		sigma := levelSigma(level)
 		tab := jitterTableFor(sigma)
-		n := len(tab.cols)
+		n := len(tab)
 		if n < 2 {
 			t.Fatalf("level %d: support of %d values", level, n)
 		}
@@ -97,8 +97,8 @@ func TestJitterTableMatchesPolarFold(t *testing.T) {
 	for _, level := range lawLevels {
 		sigma := levelSigma(level)
 		tab := jitterTableFor(sigma)
-		tabCounts := make([]int, len(tab.cols))
-		polarCounts := make([]int, len(tab.cols))
+		tabCounts := make([]int, len(tab))
+		polarCounts := make([]int, len(tab))
 		tabSrc, polarSrc := xrand.New(uint64(101+level)), xrand.New(uint64(202+level))
 		for i := 0; i < draws; i++ {
 			tabCounts[tab.draw(tabSrc.Uint64())]++

@@ -90,7 +90,7 @@ type Machine struct {
 	// live workers contending (see jitter.go). Spawn grows it to the
 	// live-worker count, which bounds l, so jitterFor only indexes.
 	//spylint:allow resetcomplete each table is a pure function of the config-derived sigmas, so a reused machine's longer list draws the same values
-	jitterLevels []*jitterTable
+	jitterLevels []jitterTable
 
 	runMu sync.Mutex
 
