@@ -145,9 +145,7 @@ func jitterTableFor(sigma float64) jitterTable {
 }
 
 // growJitterLevels makes m.jitterLevels cover contention levels 0 ..
-// maxOthers. jitterFor's level is a count of other live workers, so
-// Spawn calls this with the live-worker bound and the event path only
-// ever indexes.
+// maxOthers.
 func (m *Machine) growJitterLevels(maxOthers int) {
 	if m.noiseOff {
 		return

@@ -87,8 +87,8 @@ type Machine struct {
 	lastTouch []touchLog
 
 	// jitterLevels[l] samples the jitter of an access with l other
-	// live workers contending (see jitter.go). Spawn grows it to the
-	// live-worker count, which bounds l, so jitterFor only indexes.
+	// live workers contending (see jitter.go). Spawn grows it to cover
+	// every level the live workers can reach, so jitterFor only indexes.
 	//spylint:allow resetcomplete each table is a pure function of the config-derived sigmas, so a reused machine's longer list draws the same values
 	jitterLevels []jitterTable
 
@@ -383,9 +383,10 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 		defer w.res.Release()
 		body(w)
 	})
-	// Every live worker is parked now except, during a run, the
-	// spawning baton holder, so no access sees more others than this.
-	m.growJitterLevels(m.eng.parked.len())
+	// An access's others are live workers, all parked now but for the
+	// spawner during a run, each with its own event among the last
+	// contentionWindow; so neither count can be exceeded.
+	m.growJitterLevels(min(m.eng.parked.len(), contentionWindow))
 	return w, nil
 }
 
