@@ -18,13 +18,23 @@
 //     discovery (Alg. 1) and the every-16th-access eviction staircase
 //     (Fig. 5) work.
 //
+// Each set is stored as a stack of resident tags, most recently used
+// first (Mattson et al.'s LRU stack, IBM Systems Journal 9(2), 1970):
+// a hit moves its tag to the top, a miss pushes the new tag on top and,
+// in a full set, the bottom tag falls off as the LRU victim. Ways are
+// only ever invalidated by a whole-cache flush and a miss fills the
+// first invalid way, so a set's valid ways are always a prefix of its
+// slots and a per-set fill count is the whole of its valid state.
+//
 // The cache is not safe for concurrent use; the simulation engine
 // serializes all accesses machine-wide.
 package l2cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"spybox/internal/arch"
 	"spybox/internal/xrand"
@@ -94,8 +104,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Sets <= 0 || c.Sets&(c.Sets-1) != 0:
 		return fmt.Errorf("l2cache: Sets must be a positive power of two, got %d", c.Sets)
-	case c.Ways <= 0:
-		return fmt.Errorf("l2cache: Ways must be positive, got %d", c.Ways)
+	case c.Ways <= 0 || c.Ways > math.MaxUint16:
+		return fmt.Errorf("l2cache: Ways must be in [1,%d], got %d", math.MaxUint16, c.Ways)
 	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
 		return fmt.Errorf("l2cache: LineSize must be a positive power of two, got %d", c.LineSize)
 	case c.PageSize < c.LineSize || c.PageSize&(c.PageSize-1) != 0:
@@ -110,13 +120,6 @@ func (c Config) SizeBytes() int { return c.Sets * c.Ways * c.LineSize }
 // LinesPerPage returns how many cache lines one page holds.
 func (c Config) LinesPerPage() int { return c.PageSize / c.LineSize }
 
-// way is one cache line slot.
-type way struct {
-	valid bool
-	tag   uint64
-	used  uint64 // global LRU stamp
-}
-
 // SetStats accumulates per-set hit/miss counts. The side channel's
 // memorygram is, in essence, the time series of these counters as seen
 // through the spy's probes.
@@ -128,17 +131,18 @@ type SetStats struct {
 type Cache struct {
 	//spylint:allow resetcomplete geometry config is fixed at construction; Reset rewinds contents
 	cfg Config
-	// ways holds every line slot as one flat array (set i occupies
-	// ways[i*Ways:(i+1)*Ways]): one allocation per cache instead of
-	// one per set, and Flush is a single memclr — both of which matter
-	// once machines are pooled and reset between trials.
-	ways      []way
-	stamp     uint64
+	// tags holds every set's line slots as one flat array (set i
+	// occupies tags[i*Ways:(i+1)*Ways]), of which the first fill[i] are
+	// valid. Under LRU a set's valid tags are kept most recently used
+	// first; under RandomRepl recency is unused and they stay in way
+	// order.
+	//spylint:allow resetcomplete slots at or past a set's fill count are never read, so clearing fill invalidates them
+	tags      []uint64
+	fill      []uint16
 	rng       *xrand.Source // used only by RandomRepl
 	stats     []SetStats
 	hits      uint64
 	misses    uint64
-	fills     uint64
 	evictions uint64
 
 	// partWays restricts fills to the first partWays ways of every set
@@ -174,7 +178,8 @@ func New(cfg Config, rng *xrand.Source) (*Cache, error) {
 	}
 	c := &Cache{
 		cfg:       cfg,
-		ways:      make([]way, cfg.Sets*cfg.Ways),
+		tags:      make([]uint64, cfg.Sets*cfg.Ways),
+		fill:      make([]uint16, cfg.Sets),
 		rng:       rng,
 		stats:     make([]SetStats, cfg.Sets),
 		lineShift: bits.TrailingZeros64(uint64(cfg.LineSize)),
@@ -187,11 +192,6 @@ func New(cfg Config, rng *xrand.Source) (*Cache, error) {
 		c.regions = uint64(cfg.Sets) / c.pageLines
 	}
 	return c, nil
-}
-
-// set returns the way slots of one set.
-func (c *Cache) set(i int) []way {
-	return c.ways[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
 }
 
 // MustNew is New that panics on error, for fixed known-good configs.
@@ -237,51 +237,59 @@ func (c *Cache) tagOf(pa arch.PA) uint64 {
 }
 
 // Access performs a cached read of the line containing pa: on a hit
-// the LRU stamp refreshes; on a miss the line is filled, evicting per
-// the replacement policy. It returns whether the access hit and which
-// set it touched.
+// under LRU the line moves to the top of its set's recency stack; on a
+// miss the line is filled, evicting per the replacement policy. It
+// returns whether the access hit and which set it touched.
 //
-// Fills never touch ways at or beyond an active partition, and the
-// partition flush left them invalid, so one scan of the ways below it
-// finds the hit, the first invalid way and the LRU way.
+// A set never holds more valid ways than an active partition allows:
+// the partition flush emptied it and fills stop at the boundary.
 //
 //spylint:hotpath
 func (c *Cache) Access(pa arch.PA) (hit bool, set int) {
 	set = c.SetIndex(pa)
 	tag := c.tagOf(pa)
-	c.stamp++
-	ws := c.set(set)
-	if c.partWays > 0 {
-		ws = ws[:c.partWays]
-	}
-	free, lru := -1, 0
-	for i := range ws {
-		switch {
-		case !ws[i].valid:
-			if free < 0 {
-				free = i
+	lru := c.cfg.Policy == LRU
+	base := set * c.cfg.Ways
+	n := int(c.fill[set])
+	ts := c.tags[base : base+n]
+	// Scan from the LRU end: Prime+Probe re-touches a set's lines in
+	// the order it primed them, so about half of all hits in the attack
+	// experiments are on the set's least recently used tag.
+	for i := n - 1; i >= 0; i-- {
+		if ts[i] == tag {
+			if lru {
+				// Shift the more recent tags down one and put this one
+				// on top.
+				copy(ts[1:i+1], ts[:i])
+				ts[0] = tag
 			}
-		case ws[i].tag == tag:
-			ws[i].used = c.stamp
 			c.hits++
 			c.stats[set].Hits++
 			return true, set
-		case ws[i].used < ws[lru].used:
-			lru = i
 		}
 	}
 	c.misses++
 	c.stats[set].Misses++
-	victim := free
-	if victim < 0 {
-		c.evictions++
-		victim = lru
-		if c.cfg.Policy == RandomRepl {
-			victim = c.rng.Intn(len(ws))
-		}
+	limit := c.cfg.Ways
+	if c.partWays > 0 {
+		limit = c.partWays
 	}
-	c.fills++
-	ws[victim] = way{valid: true, tag: tag, used: c.stamp}
+	if n < limit {
+		c.fill[set]++
+	} else {
+		c.evictions++
+	}
+	ts = c.tags[base : base+limit]
+	switch {
+	case lru:
+		// Push on top; in a full set the bottom (LRU) tag falls off.
+		copy(ts[1:min(n+1, limit)], ts)
+		ts[0] = tag
+	case n < limit:
+		ts[n] = tag
+	default:
+		ts[c.rng.Intn(limit)] = tag
+	}
 	return false, set
 }
 
@@ -290,13 +298,8 @@ func (c *Cache) Access(pa arch.PA) (hit bool, set int) {
 // hook; the attacks themselves never use it (they only see timing).
 func (c *Cache) Contains(pa arch.PA) bool {
 	set := c.SetIndex(pa)
-	tag := c.tagOf(pa)
-	for _, w := range c.set(set) {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	base := set * c.cfg.Ways
+	return slices.Contains(c.tags[base:base+int(c.fill[set])], c.tagOf(pa))
 }
 
 // SetPartition restricts the cache to the first ways ways of every set
@@ -338,7 +341,7 @@ func (c *Cache) SetCounters() []SetStats {
 
 // ResetStats clears all counters without disturbing cache contents.
 func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.fills, c.evictions = 0, 0, 0, 0
+	c.hits, c.misses, c.evictions = 0, 0, 0
 	for i := range c.stats {
 		c.stats[i] = SetStats{}
 	}
@@ -346,21 +349,20 @@ func (c *Cache) ResetStats() {
 
 // Flush invalidates the entire cache (used between experiment trials;
 // no user-level flush exists on the real hardware, which is precisely
-// why the attacks use eviction sets instead). One memclr over the flat
-// way array.
+// why the attacks use eviction sets instead). Only the per-set fill
+// counts are cleared: slots past a set's fill count are never read.
 func (c *Cache) Flush() {
-	clear(c.ways)
+	clear(c.fill)
 }
 
 // Reset restores the cache to its freshly constructed state: all lines
-// invalid, the LRU stamp rewound, counters cleared. When parent is
+// invalid, no partition, counters cleared. When parent is
 // non-nil the replacement RNG is re-derived from it exactly as New
 // receives it from parent.Split(), consuming one parent draw — this is
 // what lets a pooled machine replay its construction-time RNG
 // derivation sequence and stay byte-identical to a fresh build.
 func (c *Cache) Reset(parent *xrand.Source) {
 	c.Flush()
-	c.stamp = 0
 	c.partWays = 0
 	c.ResetStats()
 	if parent != nil {
@@ -373,12 +375,4 @@ func (c *Cache) Reset(parent *xrand.Source) {
 }
 
 // OccupiedWays returns how many valid lines set holds (test helper).
-func (c *Cache) OccupiedWays(set int) int {
-	n := 0
-	for _, w := range c.set(set) {
-		if w.valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) OccupiedWays(set int) int { return int(c.fill[set]) }

@@ -700,15 +700,3 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 	// whole cycles.
 	return m.jitterLevels[t.others].draw(m.jitter.Uint64())
 }
-
-// ContentionLevel reports how many distinct workers touched dev's L2
-// within the trailing contention window (diagnostic hook).
-func (m *Machine) ContentionLevel(dev arch.DeviceID) int {
-	n := 0
-	for _, r := range m.lastTouch[dev].recs {
-		if m.eng.eventNo-r.ev <= contentionWindow {
-			n++
-		}
-	}
-	return n
-}

@@ -1,10 +1,11 @@
 // Machine reuse: trial runners would burn most of their time building
-// fresh boxes (a DGX-2's L2 arrays alone are hundreds of thousands of
-// way slots), yet every machine built from the same Options differs
-// only by seed — which Reset rewinds in place. A MachineSlot keeps one
-// machine for one trial worker and lends it, reset, to the worker's
-// next trial with the same Options fingerprint, turning the per-trial
-// cost from "allocate a box" into "memclr a box".
+// fresh boxes (a DGX-2's L2 tag arrays alone are megabytes), yet every
+// machine built from the same Options differs only by seed — which
+// Reset rewinds in place. A MachineSlot keeps one machine for one trial
+// worker and lends it, reset, to the worker's next trial with the same
+// Options fingerprint, turning the per-trial cost from "allocate a box"
+// into "rewind a box": an L2 reset clears one fill count per set and
+// per-set counters, never the tag arrays themselves.
 package sim
 
 import "fmt"

@@ -148,13 +148,21 @@ type Alloc struct {
 	Dev  arch.DeviceID
 }
 
-// Space is one process's virtual address space.
+// mappedBit marks a page-table entry as mapped. Frame bases are
+// page-aligned, so bit 0 is free, and a zero entry means unmapped even
+// for the frame at physical address 0.
+const mappedBit arch.PA = 1
+
+// Space is one process's virtual address space. Allocation bumps brk
+// and never reuses virtual addresses, so the page table is a slice
+// indexed by virtual page number, exactly brk/PageSize long.
 type Space struct {
 	pid    arch.ProcessID
 	phys   *PhysMem
 	rng    *xrand.Source
-	allow  func(uint64) bool  // frame placement policy, nil = any
-	table  map[uint64]arch.PA // virtual page number -> frame base PA
+	allow  func(uint64) bool // frame placement policy, nil = any
+	table  []arch.PA         // virtual page number -> frame base PA | mappedBit, 0 if unmapped
+	mapped int               // mapped entries in table
 	brk    arch.VA
 	allocs []Alloc
 }
@@ -177,7 +185,7 @@ func NewSpaceFiltered(pid arch.ProcessID, phys *PhysMem, rng *xrand.Source, allo
 		phys:  phys,
 		rng:   rng,
 		allow: allow,
-		table: make(map[uint64]arch.PA),
+		table: make([]arch.PA, 1),
 		brk:   arch.VA(arch.PageSize), // keep VA 0 unmapped
 	}
 }
@@ -196,19 +204,20 @@ func (s *Space) Alloc(size uint64, dev arch.DeviceID) (arch.VA, error) {
 	}
 	pages := (size + arch.PageSize - 1) / arch.PageSize
 	base := s.brk
+	first := len(s.table) // base's page number
 	for i := uint64(0); i < pages; i++ {
 		frame, err := s.phys.allocFrame(dev, s.rng, s.allow)
 		if err != nil {
 			// Unwind partial mapping.
-			for j := uint64(0); j < i; j++ {
-				vpn := (base + arch.VA(j*arch.PageSize)).PageNumber()
-				s.phys.freeFrame(s.table[vpn])
-				delete(s.table, vpn)
+			for _, e := range s.table[first:] {
+				s.phys.freeFrame(e &^ mappedBit)
 			}
+			s.table = s.table[:first]
 			return 0, err
 		}
-		s.table[(base + arch.VA(i*arch.PageSize)).PageNumber()] = frame
+		s.table = append(s.table, frame|mappedBit)
 	}
+	s.mapped += int(pages)
 	s.brk += arch.VA(pages * arch.PageSize)
 	s.allocs = append(s.allocs, Alloc{Base: base, Size: pages * arch.PageSize, Dev: dev})
 	return base, nil
@@ -219,11 +228,12 @@ func (s *Space) Alloc(size uint64, dev arch.DeviceID) (arch.VA, error) {
 func (s *Space) Free(base arch.VA) error {
 	for i, a := range s.allocs {
 		if a.Base == base {
-			for off := uint64(0); off < a.Size; off += arch.PageSize {
-				vpn := (base + arch.VA(off)).PageNumber()
-				s.phys.freeFrame(s.table[vpn])
-				delete(s.table, vpn)
+			first := base.PageNumber()
+			for vpn := first; vpn < first+a.Size/arch.PageSize; vpn++ {
+				s.phys.freeFrame(s.table[vpn] &^ mappedBit)
+				s.table[vpn] = 0
 			}
+			s.mapped -= int(a.Size / arch.PageSize)
 			s.allocs = append(s.allocs[:i], s.allocs[i+1:]...)
 			return nil
 		}
@@ -233,11 +243,12 @@ func (s *Space) Free(base arch.VA) error {
 
 // Translate resolves a virtual address to its physical address.
 func (s *Space) Translate(va arch.VA) (arch.PA, error) {
-	frame, ok := s.table[va.PageNumber()]
-	if !ok {
-		return 0, fmt.Errorf("vmem: pid %d: unmapped address %#x", s.pid, uint64(va))
+	if vpn := va.PageNumber(); vpn < uint64(len(s.table)) {
+		if e := s.table[vpn]; e != 0 {
+			return e&^mappedBit + arch.PA(va.PageOffset()), nil
+		}
 	}
-	return frame + arch.PA(va.PageOffset()), nil
+	return 0, fmt.Errorf("vmem: pid %d: unmapped address %#x", s.pid, uint64(va))
 }
 
 // MustTranslate is Translate that panics on fault (the simulated
@@ -262,4 +273,4 @@ func (s *Space) Allocs() []Alloc {
 }
 
 // MappedPages returns the number of mapped pages.
-func (s *Space) MappedPages() int { return len(s.table) }
+func (s *Space) MappedPages() int { return s.mapped }
