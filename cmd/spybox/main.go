@@ -27,7 +27,7 @@
 //
 // serve boots the job service (pkg/spybox/service) over HTTP; submit,
 // status, and wait are pure HTTP clients of it — duplicate
-// submissions are answered from the server's result cache, and a
+// submissions are answered from done jobs in the server's store, and a
 // job's report/v1 output is byte-identical to `spybox run` with the
 // same seed, scale, and arch. See README.md in this directory for the
 // full subcommand and flag reference.

@@ -2,20 +2,16 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"spybox/pkg/spybox"
 )
 
 // BenchmarkServiceSubmit measures the job pipeline's overhead on the
-// cache-hit path — submit, queue, worker claim, cache lookup, store
+// cache-hit path — submit, queue, worker claim, store lookup, store
 // updates, wait — with the simulation itself amortized out by a warm
-// cache. This is the service's request-latency floor: what a
-// duplicate submission costs once the box is warm. Alongside the
-// ns/op it writes BENCH_service.json (the start of the service perf
-// trajectory; CI's bench job exercises it every run).
+// store. This is the service's request-latency floor: what a
+// duplicate submission costs once the box is warm.
 func BenchmarkServiceSubmit(b *testing.B) {
 	svc, err := New(Options{Workers: 1})
 	if err != nil {
@@ -43,23 +39,7 @@ func BenchmarkServiceSubmit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	hits, misses := svc.cache.Stats()
-	doc := struct {
-		Benchmark   string  `json:"benchmark"`
-		Jobs        int     `json:"jobs"`
-		NsPerSubmit float64 `json:"ns_per_submit"`
-		CacheHits   int64   `json:"cache_hits"`
-		CacheMisses int64   `json:"cache_misses"`
-	}{
-		Benchmark: "ServiceSubmit", Jobs: b.N,
-		NsPerSubmit: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		CacheHits:   hits, CacheMisses: misses,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_service.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+	if hits, misses := svc.hits.Load(), svc.misses.Load(); hits != int64(b.N) || misses != 1 {
+		b.Fatalf("counters: %d hits, %d misses; want %d, 1", hits, misses, b.N)
 	}
 }

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
+	"spybox/internal/xrand"
 	"spybox/pkg/spybox"
 	"spybox/pkg/spybox/report"
 )
@@ -25,110 +30,200 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-func TestCacheHitMissCountersAndIsolation(t *testing.T) {
-	c := NewCache()
-	key := CacheKey(1, "small", "p100-dgx1", "fig4")
-	if _, ok := c.Get(key); ok {
-		t.Fatal("hit on empty cache")
-	}
-	r := report.New("fig4", "timing")
-	r.SetMetric("local_boundary", "cycles", 400)
-	if err := c.Put(key, r); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(key)
-	if !ok || got.Metrics["local_boundary"] != 400 {
-		t.Fatalf("Get = %+v, %v", got, ok)
-	}
-	// Mutating a returned result must not leak into the cache.
-	got.SetMetric("local_boundary", "cycles", 999)
-	again, _ := c.Get(key)
-	if again.Metrics["local_boundary"] != 400 {
-		t.Error("cache entry mutated through a returned result")
-	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses; want 2, 1", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
-	}
+// cacheUniverse is the small space of specs and models the
+// differential test draws from, so that keys collide often.
+var (
+	cacheSeeds  = []uint64{1, 2}
+	cacheExpts  = [][]string{{"fig4"}, {"fig9"}, {"fig4", "fig9"}}
+	cacheModels = []string{spybox.ModelVersion, spybox.ModelVersion, "", "sim/1"}
+	cacheStates = []spybox.JobState{spybox.JobQueued, spybox.JobRunning, spybox.JobDone, spybox.JobDone, spybox.JobFailed, spybox.JobCancelled}
+)
+
+// cacheResult is what a simulator of model computes for one key: a
+// pure function of them, as determinism makes every real result.
+func cacheResult(model string, seed uint64, expt string) *report.Result {
+	r := report.New(expt, "t")
+	r.SetMetric("seed", "", float64(seed))
+	r.Notef("model %s", model)
+	return r
 }
 
-// TestCacheCorruptedEntryDropKeepsOrderBounded is the regression test
-// for the order-list leak: dropping a corrupted entry on Get used to
-// leave its key in the FIFO order list, so each corrupt→drop→re-Put
-// cycle grew the list by one forever (and eviction accounting drifted
-// with it).
-func TestCacheCorruptedEntryDropKeepsOrderBounded(t *testing.T) {
-	c := NewCacheSize(4)
-	key := CacheKey(1, "small", "p100-dgx1", "fig4")
-	for cycle := 0; cycle < 10; cycle++ {
-		if err := c.Put(key, report.New("fig4", "t")); err != nil {
-			t.Fatal(err)
-		}
-		// Corrupt the stored bytes in place, as disk rot or a codec
-		// bug would.
-		c.mu.Lock()
-		c.entries[key] = []byte("not a report document")
-		c.mu.Unlock()
-		if _, ok := c.Get(key); ok {
-			t.Fatal("corrupted entry served")
-		}
-		if c.Len() != 0 {
-			t.Fatalf("cycle %d: corrupted entry not dropped (Len %d)", cycle, c.Len())
-		}
-		c.mu.Lock()
-		orderLen := len(c.order)
-		c.mu.Unlock()
-		if orderLen != 0 {
-			t.Fatalf("cycle %d: dropped key still in order (len %d)", cycle, orderLen)
-		}
+// cacheRecord builds a record for id holding the first n results of
+// its spec, computed under model.
+func cacheRecord(id string, state spybox.JobState, model string, seed uint64, expts []string, n int) Record {
+	r := Record{Model: model, Status: spybox.JobStatus{
+		ID: spybox.JobID(id), State: state, Total: len(expts),
+		Spec: spybox.JobSpec{Experiments: expts, Seed: seed, Scale: "small", Arch: "p100-dgx1"},
+	}}
+	for _, e := range expts[:n] {
+		r.Results = append(r.Results, cacheResult(model, seed, e))
 	}
-	// The cache still works and evicts correctly after the churn.
-	put := func(seed uint64) string {
-		k := CacheKey(seed, "small", "p100-dgx1", "fig4")
-		if err := c.Put(k, report.New("fig4", "t")); err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	keys := []string{put(1), put(2), put(3), put(4), put(5)}
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d after overflow, want 4", c.Len())
-	}
-	if _, ok := c.Get(keys[0]); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	if _, ok := c.Get(keys[4]); !ok {
-		t.Error("newest entry evicted")
-	}
+	return r
 }
 
-func TestCacheEvictsOldestAtLimit(t *testing.T) {
-	c := NewCacheSize(2)
-	put := func(seed uint64) string {
-		key := CacheKey(seed, "small", "p100-dgx1", "fig4")
-		if err := c.Put(key, report.New("fig4", "t")); err != nil {
-			t.Fatal(err)
+// naiveCached is the reference for Store.Cached: a linear scan, in
+// submission order, for a done record of this build's model whose spec
+// gives key and that holds the result.
+func naiveCached(recs []Record, key string) (*report.Result, bool) {
+	for _, r := range recs {
+		if r.Status.State != spybox.JobDone || r.Model != spybox.ModelVersion {
+			continue
 		}
-		return key
-	}
-	k1, k2, k3 := put(1), put(2), put(3)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d after overflow, want 2", c.Len())
-	}
-	if _, ok := c.Get(k1); ok {
-		t.Error("oldest entry survived eviction")
-	}
-	for _, k := range []string{k2, k3} {
-		if _, ok := c.Get(k); !ok {
-			t.Errorf("recent entry %s evicted", k[:8])
+		sp := r.Status.Spec
+		for i, e := range sp.Experiments {
+			if i < len(r.Results) && CacheKey(sp.Seed, sp.Scale, sp.Arch, e) == key {
+				return r.Results[i], true
+			}
 		}
 	}
-	// Re-putting an existing key is an update, not growth.
-	put(3)
-	if c.Len() != 2 {
-		t.Errorf("Len = %d after re-put", c.Len())
+	return nil, false
+}
+
+// naiveCachedCount is the reference for Counts.Cached: the distinct
+// keys, under any model, of results that done records hold.
+func naiveCachedCount(recs []Record) int {
+	keys := map[string]bool{}
+	for _, r := range recs {
+		if r.Status.State != spybox.JobDone || r.Model == "" {
+			continue
+		}
+		sp := r.Status.Spec
+		for i := 0; i < len(r.Results) && i < len(sp.Experiments); i++ {
+			keys[cacheKey(r.Model, sp.Seed, sp.Scale, sp.Arch, sp.Experiments[i])] = true
+		}
+	}
+	return len(keys)
+}
+
+// TestCachedMatchesNaiveScan is a differential test of the store's
+// result index: after every step of a random sequence of Put, Create,
+// Delete, Claim, Compact and reopen, on the in-memory and the on-disk
+// store, Cached must agree for every key with naiveCached over List,
+// and Counts.Cached with naiveCachedCount.
+func TestCachedMatchesNaiveScan(t *testing.T) {
+	var keys []string
+	for _, seed := range cacheSeeds {
+		for _, e := range []string{"fig4", "fig9"} {
+			keys = append(keys, CacheKey(seed, "small", "p100-dgx1", e))
+		}
+	}
+	for _, mode := range []string{"mem", "log"} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", mode, seed), func(t *testing.T) {
+				dir := ""
+				if mode == "log" {
+					dir = t.TempDir()
+				}
+				s, err := OpenLogStore(dir, WithCompactBytes(4<<10))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+
+				step := 0
+				check := func(what string) {
+					t.Helper()
+					step++
+					recs, err := s.List()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, key := range keys {
+						got, ok, err := s.Cached(key)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, wantOK := naiveCached(recs, key)
+						if ok != wantOK {
+							t.Fatalf("step %d (%s): Cached(%s) hit=%v, reference %v", step, what, key[:8], ok, wantOK)
+						}
+						if ok && !bytes.Equal(encode(t, []*report.Result{got}), encode(t, []*report.Result{want})) {
+							t.Fatalf("step %d (%s): Cached(%s) serves a different result", step, what, key[:8])
+						}
+					}
+					c, err := s.Counts()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := naiveCachedCount(recs); c.Cached != want {
+						t.Fatalf("step %d (%s): Counts.Cached = %d, reference %d", step, what, c.Cached, want)
+					}
+				}
+				put := func(r Record) {
+					t.Helper()
+					if err := s.Put(r); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("put %s %s model %q", r.Status.ID, r.Status.State, r.Model))
+				}
+
+				// Fixed prelude: two done duplicates, one deleted; records
+				// of no model and another model; cancelled and failed
+				// records carrying every result of their spec.
+				put(cacheRecord("job-1", spybox.JobDone, spybox.ModelVersion, 1, []string{"fig4"}, 1))
+				put(cacheRecord("job-2", spybox.JobDone, spybox.ModelVersion, 1, []string{"fig4", "fig9"}, 2))
+				if err := s.Delete("job-1"); err != nil {
+					t.Fatal(err)
+				}
+				check("delete a duplicate")
+				put(cacheRecord("job-3", spybox.JobDone, "", 2, []string{"fig4"}, 1))
+				put(cacheRecord("job-4", spybox.JobDone, "sim/1", 2, []string{"fig9"}, 1))
+				put(cacheRecord("job-5", spybox.JobCancelled, spybox.ModelVersion, 2, []string{"fig4", "fig9"}, 2))
+				put(cacheRecord("job-6", spybox.JobFailed, spybox.ModelVersion, 2, []string{"fig4"}, 1))
+
+				r := xrand.New(seed)
+				for i := 0; i < 120; i++ {
+					id := fmt.Sprintf("job-%d", 1+r.Intn(8))
+					switch op := r.Intn(10); {
+					case op < 5:
+						state := cacheStates[r.Intn(len(cacheStates))]
+						expts := cacheExpts[r.Intn(len(cacheExpts))]
+						n := 0
+						if state.Terminal() {
+							n = r.Intn(len(expts) + 1)
+							if state == spybox.JobDone {
+								n = len(expts)
+							}
+						}
+						rec := cacheRecord(id, state, cacheModels[r.Intn(len(cacheModels))],
+							cacheSeeds[r.Intn(len(cacheSeeds))], expts, n)
+						if op < 3 {
+							put(rec)
+							continue
+						}
+						if err := s.Create(rec); err != nil && !errors.Is(err, ErrExists) {
+							t.Fatal(err)
+						}
+						check("create " + id)
+					case op < 7:
+						if err := s.Delete(spybox.JobID(id)); err != nil {
+							t.Fatal(err)
+						}
+						check("delete " + id)
+					case op < 8:
+						if _, _, err := s.Claim("w", time.Minute); err != nil {
+							t.Fatal(err)
+						}
+						check("claim")
+					case op < 9:
+						if err := s.Compact(); err != nil {
+							t.Fatal(err)
+						}
+						check("compact")
+					default:
+						if dir == "" {
+							continue // nothing to reopen
+						}
+						if err := s.Close(); err != nil {
+							t.Fatal(err)
+						}
+						if s, err = OpenLogStore(dir, WithCompactBytes(4<<10)); err != nil {
+							t.Fatal(err)
+						}
+						check("reopen")
+					}
+				}
+			})
+		}
 	}
 }

@@ -258,3 +258,79 @@ func TestHTTPBatch(t *testing.T) {
 		t.Error("bad batch accepted over HTTP")
 	}
 }
+
+// TestCachedSharedAcrossFleetAndRestart: a result one Service computed
+// is a cache hit for a peer on the same store directory, and for a
+// Service started after compaction and a full restart — the store's
+// done records are the cache, and every hit is byte-identical.
+func TestCachedSharedAcrossFleetAndRestart(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	open := func() *LogStore {
+		s, err := OpenLogStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	run := func(svc *Service, wantHits int) []byte {
+		t.Helper()
+		id, err := svc.Submit(smallSpec("fig4"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := svc.Wait(context.Background(), id)
+		if err != nil || st.State != spybox.JobDone || st.CacheHits != wantHits {
+			t.Fatalf("job %s: %+v, %v; want done with %d cache hits", id, st, err, wantHits)
+		}
+		results, err := svc.Result(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(t, results)
+	}
+	drain := func(svc *Service) {
+		t.Helper()
+		if err := svc.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	storeA, storeB := open(), open()
+	svcA, err := New(fleetOptions(storeA, "A"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svcB, err := New(fleetOptions(storeB, "B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docA := run(svcA, 0)
+	if docB := run(svcB, 1); !bytes.Equal(docB, docA) {
+		t.Error("peer's cache hit differs from the computed result")
+	}
+	// Either process's worker may have run either job.
+	if hits, misses := svcA.hits.Load()+svcB.hits.Load(), svcA.misses.Load()+svcB.misses.Load(); hits != 1 || misses != 1 {
+		t.Errorf("fleet counters: %d hits, %d misses; want 1, 1", hits, misses)
+	}
+	if st, err := svcB.Stats(); err != nil || st.CacheSize != 1 {
+		t.Errorf("peer Stats = %+v, %v", st, err)
+	}
+	if err := storeA.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	drain(svcA)
+	drain(svcB)
+	for _, s := range []*LogStore{storeA, storeB} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	storeC := open()
+	defer storeC.Close()
+	svcC := newTestService(t, fleetOptions(storeC, "C"))
+	if docC := run(svcC, 1); !bytes.Equal(docC, docA) {
+		t.Error("cache hit after restart differs from the computed result")
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"spybox/pkg/spybox"
+	"spybox/pkg/spybox/report"
 )
 
 // LogSchema tags the joblog layout — the log's header frame and the
@@ -550,9 +551,23 @@ func (s *LogStore) Counts() (Counts, error) {
 	err := s.locked(func() error {
 		c = s.tbl.counts
 		c.Leased = s.tbl.leasedCount(s.now())
+		c.Cached = len(s.tbl.cached)
 		return nil
 	})
 	return c, err
+}
+
+// Cached implements Store. It syncs like every read, so a result a
+// peer process stored is a hit here too.
+func (s *LogStore) Cached(key string) (*report.Result, bool, error) {
+	var res *report.Result
+	err := s.locked(func() error {
+		if e, ok := s.tbl.cached[key]; ok {
+			res = e.res.Clone()
+		}
+		return nil
+	})
+	return res, res != nil, err
 }
 
 // Claim implements Store.

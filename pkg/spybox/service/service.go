@@ -1,7 +1,7 @@
 // Package service is the job-oriented layer above pkg/spybox: a
-// durable job store, a bounded worker pool that opens a Session for
-// each job it runs, a content-addressed result cache, and an HTTP
-// server/client pair speaking the /v1 jobs API.
+// durable job store that doubles as a content-addressed result cache,
+// a bounded worker pool that opens a Session for each job it runs, and
+// an HTTP server/client pair speaking the /v1 jobs API.
 //
 // Both halves implement spybox.JobService:
 //
@@ -10,9 +10,11 @@
 //
 // Submit validates a JobSpec entirely up front, persists it, and a
 // worker runs its experiments one at a time — answering each from the
-// result cache when an identical (seed, scale, arch, experiment) has
-// already been simulated under this schema version, which determinism
-// makes byte-identical to a fresh run. Cancellation stops a running
+// store when a done job already holds an identical (seed, scale, arch,
+// experiment) computed under this schema and model version, which
+// determinism makes byte-identical to a fresh run. Those hits are
+// shared by every process on one store and survive restarts; deleting
+// a job's record removes its entries. Cancellation stops a running
 // job at the next trial boundary and persists the results completed
 // so far; Close drains the pool the same way, and a LogStore brings
 // still-queued jobs back after a restart.
@@ -33,6 +35,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spybox/pkg/spybox"
@@ -54,8 +57,6 @@ type Options struct {
 	// mid-run) and re-run from scratch; determinism makes the re-run
 	// identical.
 	Store Store
-	// Cache is the result cache; nil means a fresh empty one.
-	Cache *Cache
 	// Workers bounds how many jobs run concurrently; <= 0 means 2.
 	// Each job's trial-level parallelism is its own Spec.Parallel.
 	Workers int
@@ -83,13 +84,14 @@ type Options struct {
 // Service is the in-process JobService implementation.
 type Service struct {
 	store      Store
-	cache      *Cache
 	workers    int
 	queueDepth int
 	owner      string
 	leaseTTL   time.Duration
 	poll       time.Duration
 	batchLimit int
+
+	hits, misses atomic.Int64 // experiments answered from the store / simulated
 
 	mu     sync.Mutex
 	rt     map[spybox.JobID]*claim                         // jobs running in this process
@@ -117,9 +119,6 @@ func New(opts Options) (*Service, error) {
 		}
 		opts.Store = mem
 	}
-	if opts.Cache == nil {
-		opts.Cache = NewCache()
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
@@ -144,7 +143,6 @@ func New(opts Options) (*Service, error) {
 	}
 	s := &Service{
 		store:      opts.Store,
-		cache:      opts.Cache,
 		workers:    opts.Workers,
 		queueDepth: opts.QueueDepth,
 		owner:      opts.Owner,
@@ -550,10 +548,10 @@ func (s *Service) observer() {
 }
 
 // runJob executes one claimed job: each experiment answered from the
-// cache when possible, simulated on the job's own session otherwise,
-// with the record updated after every experiment so observers (and
-// the store) always hold the latest progress. Every path ends the
-// claim through release or finish, which own the lease.
+// store's done records when possible, simulated on the job's own
+// session otherwise, with the record updated after every experiment so
+// observers (and the store) always hold the latest progress. Every
+// path ends the claim through release or finish, which own the lease.
 func (s *Service) runJob(c *claim) {
 	id := c.id
 	s.mu.Lock()
@@ -600,21 +598,21 @@ func (s *Service) runJob(c *claim) {
 				}
 				break
 			}
-			key := CacheKey(spec.Seed, spec.Scale, spec.Arch, exptID)
-			if r, ok := s.cache.Get(key); ok {
+			// A failed lookup is only a miss: the experiment is
+			// simulated instead.
+			if r, ok, err := s.store.Cached(CacheKey(spec.Seed, spec.Scale, spec.Arch, exptID)); err == nil && ok {
+				s.hits.Add(1)
 				cacheHits++
 				results = append(results, r)
 				s.publishCached(id, exptID)
 			} else {
+				s.misses.Add(1)
 				var rs []*report.Result
 				rs, runErr = sess.RunJob(c.ctx, id, exptID)
 				results = append(results, rs...)
 				if runErr != nil {
 					break
 				}
-				// An uncacheable result is still served fresh; only
-				// future duplicates pay for the failed Put.
-				_ = s.cache.Put(key, rs[0])
 			}
 			// Progress checkpoint. No s.mu: while the job is running,
 			// this goroutine is the record's only writer (cancellation
@@ -635,6 +633,7 @@ func (s *Service) runJob(c *claim) {
 	rec.Status.Done = len(results)
 	rec.Status.CacheHits = cacheHits
 	rec.Results = results
+	rec.Model = spybox.ModelVersion
 	var interrupted *spybox.InterruptedError
 	switch {
 	case runErr == nil:
@@ -728,9 +727,10 @@ type Stats struct {
 	CacheSize   int    `json:"cache_entries"`
 }
 
-// Stats counts jobs by state and reports the cache counters. Counts
-// come from the store's census, not a full List, so Stats stays cheap
-// on a store full of finished jobs.
+// Stats counts jobs by state and reports the cache counters: this
+// process's hits and misses, and the distinct results cached in the
+// store. Counts come from the store's census, not a full List, so
+// Stats stays cheap on a store full of finished jobs.
 func (s *Service) Stats() (Stats, error) {
 	c, err := s.store.Counts()
 	if err != nil {
@@ -740,9 +740,8 @@ func (s *Service) Stats() (Stats, error) {
 		Jobs: c.Total, Queued: c.Queued, Running: c.Running,
 		Done: c.Done, Failed: c.Failed, Cancelled: c.Cancelled,
 		Leased: c.Leased, Workers: s.workers, Owner: s.owner,
-		CacheSize: s.cache.Len(),
+		CacheHits: s.hits.Load(), CacheMisses: s.misses.Load(), CacheSize: c.Cached,
 	}
-	st.CacheHits, st.CacheMisses = s.cache.Stats()
 	return st, nil
 }
 

@@ -140,7 +140,7 @@ func TestJobLifecycleCacheAndByteIdentity(t *testing.T) {
 	if !bytes.Equal(encode(t, results2), encode(t, results)) {
 		t.Error("cached result differs from simulated result")
 	}
-	hits, misses := svc.cache.Stats()
+	hits, misses := svc.hits.Load(), svc.misses.Load()
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache counters: %d hits, %d misses; want 1, 1", hits, misses)
 	}

@@ -39,8 +39,9 @@ func (l *Lease) live(now time.Time) bool {
 
 // Record is everything a store persists about one job: its status,
 // the results completed so far (the full set once done, a prefix for
-// failed or cancelled jobs), and — maintained by Claim/Renew/Release,
-// never by Put — the lease of the worker running it.
+// failed or cancelled jobs), the model version that computed them,
+// and — maintained by Claim/Renew/Release, never by Put — the lease
+// of the worker running it.
 type Record struct {
 	Status spybox.JobStatus `json:"status"`
 	// Lease is read-only to callers: Put ignores the field (claiming
@@ -48,6 +49,10 @@ type Record struct {
 	// record goes terminal.
 	Lease   *Lease           `json:"lease,omitempty"`
 	Results []*report.Result `json:"results,omitempty"`
+	// Model is the spybox.ModelVersion that computed Results. Only a
+	// done record with a model serves cache hits, and only to a build
+	// of that model.
+	Model string `json:"model,omitempty"`
 }
 
 // clone deep-copies a record so no caller can mutate store state
@@ -83,6 +88,8 @@ type Counts struct {
 	Cancelled int `json:"cancelled"`
 	// Leased counts non-terminal records under a live lease.
 	Leased int `json:"leased"`
+	// Cached counts the distinct cache keys done records hold.
+	Cached int `json:"cached"`
 }
 
 // ErrExists is returned by Create when the record's ID is already
@@ -118,6 +125,10 @@ type Store interface {
 	Delete(id spybox.JobID) error
 	// Counts reports the by-state census without copying records.
 	Counts() (Counts, error)
+	// Cached returns a deep copy of the result stored under key (a
+	// cacheKey of the record's Model) by some done record, reporting
+	// whether one exists.
+	Cached(key string) (*report.Result, bool, error)
 	// Claim atomically leases the next runnable job to owner for ttl
 	// and returns it. Runnable means non-terminal with no live lease:
 	// a queued job, or a running job whose worker stopped renewing
@@ -141,12 +152,18 @@ type Store interface {
 }
 
 // jobTable is LogStore's in-memory state machine: records in
-// submission order, the runnable set, and the round-robin fairness
-// cursor. It does no locking, and it copies only in apply, which
-// clones each record it stores; LogStore locks and deep-copies reads.
+// submission order, the runnable set, the result index, and the
+// round-robin fairness cursor. It does no locking, and it copies only
+// in apply, which clones each record it stores; LogStore locks and
+// deep-copies reads.
 type jobTable struct {
 	byID  map[spybox.JobID]*Record
 	order []spybox.JobID
+	// cached indexes done records' results by cache key. put and
+	// delete keep it current, so every path that changes records (live
+	// appends, peer replay, snapshot reload) maintains it; a key leaves
+	// only with its last holder.
+	cached map[string]*cachedResult
 	// pending holds IDs that may be runnable (non-terminal), in
 	// submission order, compacted lazily during claim scans so that
 	// claiming stays O(live jobs) on a store full of finished ones.
@@ -157,8 +174,38 @@ type jobTable struct {
 	counts Counts
 }
 
+// cachedResult is one cache key's entry: a result for the key and how
+// many done records hold one. Every holder's result is byte-identical
+// (results are a pure function of the key), so the entry keeps the
+// first it saw for as long as any holder remains.
+type cachedResult struct {
+	res *report.Result
+	n   int
+}
+
 func newJobTable() *jobTable {
-	return &jobTable{byID: map[spybox.JobID]*Record{}}
+	return &jobTable{byID: map[spybox.JobID]*Record{}, cached: map[string]*cachedResult{}}
+}
+
+// index adds (d = 1) or removes (d = -1) rec's results in the cache
+// index: only done records with a model hold cacheable results, one
+// per experiment of the spec.
+func (t *jobTable) index(rec *Record, d int) {
+	if rec.Status.State != spybox.JobDone || rec.Model == "" {
+		return
+	}
+	spec := rec.Status.Spec
+	for i := 0; i < min(len(rec.Results), len(spec.Experiments)); i++ {
+		key := cacheKey(rec.Model, spec.Seed, spec.Scale, spec.Arch, spec.Experiments[i])
+		e := t.cached[key]
+		if e == nil {
+			e = &cachedResult{res: rec.Results[i]}
+			t.cached[key] = e
+		}
+		if e.n += d; e.n == 0 {
+			delete(t.cached, key)
+		}
+	}
 }
 
 // countState adjusts the census for one record entering (+1) or
@@ -186,6 +233,7 @@ func (t *jobTable) put(rec Record) {
 	if existed {
 		rec.Lease = prev.Lease
 		t.countState(prev.Status.State, -1)
+		t.index(prev, -1)
 		if prev.Status.State.Terminal() && !rec.Status.State.Terminal() {
 			// Resurrected: a lazy claim-scan compaction may have
 			// dropped the ID from pending while it was terminal.
@@ -213,6 +261,7 @@ func (t *jobTable) put(rec Record) {
 	}
 	t.countState(rec.Status.State, 1)
 	t.byID[id] = &rec
+	t.index(&rec, 1)
 }
 
 func (t *jobTable) delete(id spybox.JobID) {
@@ -221,6 +270,7 @@ func (t *jobTable) delete(id spybox.JobID) {
 		return
 	}
 	t.countState(rec.Status.State, -1)
+	t.index(rec, -1)
 	t.counts.Total--
 	delete(t.byID, id)
 	for i, o := range t.order {
