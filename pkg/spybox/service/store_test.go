@@ -221,7 +221,8 @@ func TestLogStoreClosed(t *testing.T) {
 }
 
 // TestLogStoreMutationIsolation pins the deep-copy read path: mutating
-// a Record returned by Get or List must never change stored state.
+// a Record returned by Get or List, or a result returned by Cached,
+// must never change stored state.
 // (The old FileStore returned aliased Results slices, so a caller
 // appending to them corrupted the store in memory.)
 func TestStoreMutationIsolation(t *testing.T) {
@@ -246,6 +247,7 @@ func TestStoreMutationIsolation(t *testing.T) {
 			res.SetMetric("m", "cycles", 1)
 			res.Artifacts = map[string][]byte{"bits": {1, 2, 3}}
 			r.Results = []*report.Result{res}
+			r.Model = spybox.ModelVersion
 			if err := s.Put(r); err != nil {
 				t.Fatal(err)
 			}
@@ -286,6 +288,16 @@ func TestStoreMutationIsolation(t *testing.T) {
 			list[0].Results[0].SetMetric("m", "cycles", 555)
 			if final, _, _ := s.Get("job-1"); final.Results[0].Metrics["m"] != 1 {
 				t.Error("metric mutated through List")
+			}
+			key := CacheKey(1, "small", "p100-dgx1", "fig4")
+			hit, ok, err := s.Cached(key)
+			if err != nil || !ok {
+				t.Fatalf("Cached: %v, %v", ok, err)
+			}
+			hit.SetMetric("m", "cycles", 333)
+			hit.Artifacts["bits"][0] = 7
+			if again, _, _ := s.Cached(key); again.Metrics["m"] != 1 || again.Artifacts["bits"][0] != 1 {
+				t.Error("cached result mutated through a returned copy")
 			}
 		})
 	}
