@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -429,5 +430,51 @@ func TestMultiChannelValidation(t *testing.T) {
 	pairs := []AlignedPair{{TE: EvictionSet{Lines: []arch.VA{0}}, SE: spyWrong.AllEvictionSets(wg, 4)[0]}}
 	if _, err := NewMultiChannel(trojan, []Branch{{Spy: spyWrong, Pairs: pairs}}, CovertConfig{}); err == nil {
 		t.Error("mismatched spy target accepted")
+	}
+}
+
+// TestChannelMatchesOneBranchMultiChannel pins that the two covert
+// entry points run the same protocol: on identically seeded machines,
+// a Channel and a one-branch MultiChannel over the same pairs and
+// message produce identical transmissions, trace and timing included.
+func TestChannelMatchesOneBranchMultiChannel(t *testing.T) {
+	setup := func() (*Attacker, *Attacker, []AlignedPair) {
+		m := tinyMachine(51)
+		trojan, tg := discoverOn(t, m, 0, 0, 24, 51)
+		spy, sg := discoverOn(t, m, 1, 0, 24, 52)
+		pairs, err := AlignChannels(trojan, spy,
+			trojan.AllEvictionSets(tg, 4), spy.AllEvictionSets(sg, 4), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trojan, spy, pairs
+	}
+	msg := []byte("one protocol")
+
+	trojan, spy, pairs := setup()
+	ch, err := NewChannel(trojan, spy, pairs, DefaultCovertConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ch.Transmit(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	trojan, spy, pairs = setup()
+	mc, err := NewMultiChannel(trojan, []Branch{{Spy: spy, Pairs: pairs}}, DefaultCovertConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mc.Transmit(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Trace) == 0 {
+		t.Fatal("no trace recorded")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("one-branch MultiChannel differs from Channel:\n got %d errors, duration %d, %d trace points\nwant %d errors, duration %d, %d trace points",
+			got.BitErrors, got.Duration, len(got.Trace), want.BitErrors, want.Duration, len(want.Trace))
 	}
 }

@@ -167,34 +167,52 @@ func (c *Channel) Transmit(msg []byte) (*Transmission, error) {
 // Sec. VI experiments) key their termination off that flag so the
 // machine run can complete.
 func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*Transmission, error) {
+	lanes := make([]lane, len(c.Pairs))
+	for i, pair := range c.Pairs {
+		lanes[i] = lane{spy: c.Spy, pair: pair}
+	}
+	return transmit(c.Trojan, lanes, c.Cfg, msg, beforeRun)
+}
+
+// lane is one parallel bit stream: an aligned set pair and the spy
+// process that receives on it.
+type lane struct {
+	spy  *Attacker
+	pair AlignedPair
+}
+
+// transmit is the covert protocol behind Channel and MultiChannel: the
+// bits of msg are dealt round-robin across lanes, one trojan block
+// and one spy block run per lane, and each spy's probe samples are
+// decoded with its own thresholds. beforeRun may be nil; see
+// TransmitWith.
+func transmit(trojan *Attacker, lanes []lane, cfg CovertConfig, msg []byte, beforeRun func(stop *bool) error) (*Transmission, error) {
 	bits := BytesToBits(msg)
 	if len(bits) == 0 {
 		return nil, fmt.Errorf("core: empty message")
 	}
-	n := len(c.Pairs)
+	n := len(lanes)
 	streams := splitRoundRobin(bits, n)
-	T := c.Cfg.BitPeriod
+	T := cfg.BitPeriod
 
 	samples := make([][]probeSample, n)
-	boundary := c.Spy.Thr.Boundary(c.Spy.Remote())
 	stop := new(bool)
 	spiesLeft := n
 
-	for si := range c.Pairs {
-		si := si
-		pair := c.Pairs[si]
+	for si, ln := range lanes {
+		si, ln := si, ln // go.mod is go 1.21: loop variables are shared across iterations
 		stream := streams[si]
 
 		// Trojan sender: per bit epoch, hammer the set for '1' or
 		// burn heavy arithmetic for '0'. The paper's trojan uses one
 		// warp (32 threads) per thread block.
-		err := c.Trojan.Proc.Launch(fmt.Sprintf("trojan-set%d", si), 0, func(k *cudart.Kernel) {
+		err := trojan.Proc.Launch("trojan", 0, func(k *cudart.Kernel) {
 			var lats []arch.Cycles
 			for bi, b := range stream {
 				epochEnd := arch.Cycles(bi+1) * T
 				for k.Now() < epochEnd {
 					if b == 1 {
-						lats, _ = k.ProbeSet(lats, pair.TE.Lines)
+						lats, _ = k.ProbeSet(lats, ln.pair.TE.Lines)
 						k.Busy(2)
 					} else {
 						k.BusyHeavy(8)
@@ -210,17 +228,18 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 		// warp probes while the rest drain the shared-memory sample
 		// buffer to global memory; the 32 KB shared buffer is its
 		// occupancy cost.
+		boundary := ln.spy.Thr.Boundary(ln.spy.Remote())
 		endTime := arch.Cycles(len(stream))*T + T/2
-		err = c.Spy.Proc.Launch(fmt.Sprintf("spy-set%d", si), arch.MaxSharedMemPerBlock, func(k *cudart.Kernel) {
+		err = ln.spy.Proc.Launch("spy", arch.MaxSharedMemPerBlock, func(k *cudart.Kernel) {
 			defer func() {
 				spiesLeft--
 				if spiesLeft == 0 {
 					*stop = true
 				}
 			}()
-			lats, _ := k.ProbeSet(nil, pair.SE.Lines) // initial prime
+			lats, _ := k.ProbeSet(nil, ln.pair.SE.Lines) // initial prime
 			for k.Now() < endTime {
-				lats, _ = k.ProbeSet(lats, pair.SE.Lines)
+				lats, _ = k.ProbeSet(lats, ln.pair.SE.Lines)
 				misses := 0
 				var sum float64
 				for _, l := range lats {
@@ -246,16 +265,16 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 			return nil, err
 		}
 	}
-	c.Trojan.m.Run()
+	trojan.m.Run()
 
 	// Decode each stream: majority of per-probe miss-count decisions
 	// within the epoch's guarded window.
 	decoded := make([][]byte, n)
 	var lastSample arch.Cycles
-	for si := range c.Pairs {
+	guard := arch.Cycles(float64(T) * cfg.GuardFrac)
+	for si, ln := range lanes {
 		stream := streams[si]
 		decoded[si] = make([]byte, len(stream))
-		guard := arch.Cycles(float64(T) * c.Cfg.GuardFrac)
 		for bi := range stream {
 			lo, hi := arch.Cycles(bi)*T+guard, arch.Cycles(bi+1)*T
 			ones, zeros := 0, 0
@@ -263,7 +282,7 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 				if s.t < lo || s.t >= hi {
 					continue
 				}
-				if s.misses*2 > len(c.Pairs[si].SE.Lines) {
+				if s.misses*2 > len(ln.pair.SE.Lines) {
 					ones++
 				} else {
 					zeros++
@@ -281,7 +300,7 @@ func (c *Channel) TransmitWith(msg []byte, beforeRun func(stop *bool) error) (*T
 	rx := mergeRoundRobin(decoded, len(bits))
 	tx := &Transmission{
 		SentBits: bits, ReceivedBits: rx, Duration: lastSample,
-		ClockHz: c.Trojan.m.Profile().Lat.ClockHz,
+		ClockHz: trojan.m.Profile().Lat.ClockHz,
 	}
 	for i := range bits {
 		if bits[i] != rx[i] {

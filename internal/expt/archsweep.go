@@ -24,7 +24,6 @@ import (
 	"spybox/internal/arch"
 	"spybox/internal/core"
 	"spybox/internal/sim"
-	"spybox/internal/xrand"
 )
 
 // archsweepSets is how many aligned set pairs the covert phase drives.
@@ -96,16 +95,11 @@ func archSweepTrial(p Params, prof arch.Profile) (archOut, error) {
 		out.geo.LineSize == prof.L2LineSize && out.geo.Policy == "LRU"
 
 	// 3. Cross-process alignment from the spy GPU over NVLink.
-	spy, err := core.NewAttacker(m, spyGPU, trojanGPU, pages, timing.Thresholds, p.Seed^0x2)
-	if err != nil {
-		return out, err
-	}
-	sg, err := spy.DiscoverPageGroups(spy.Ways())
+	spy, sSets, err := newDiscovered(m, spyGPU, pages, timing.Thresholds, p.Seed^0x2)
 	if err != nil {
 		return out, err
 	}
 	tSets := trojan.AllEvictionSets(tg, trojan.Ways())
-	sSets := spy.AllEvictionSets(sg, spy.Ways())
 	out.trojanSets, out.spySets = len(tSets), len(sSets)
 	if len(tSets) == 0 || len(sSets) == 0 {
 		return out, nil // attack dead on this profile; still a result
@@ -127,12 +121,7 @@ func archSweepTrial(p Params, prof arch.Profile) (archOut, error) {
 	if err != nil {
 		return out, err
 	}
-	msgRNG := xrand.New(p.Seed ^ 0xa5eed)
-	msg := make([]byte, archsweepMessageBytes(p.Scale))
-	for i := range msg {
-		msg[i] = byte(msgRNG.Uint64())
-	}
-	tx, err := ch.Transmit(msg)
+	tx, err := ch.Transmit(randomMessage(p.Seed^0xa5eed, archsweepMessageBytes(p.Scale)))
 	if err != nil {
 		return out, err
 	}

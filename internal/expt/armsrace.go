@@ -17,7 +17,6 @@ package expt
 import (
 	"fmt"
 
-	"spybox/internal/core"
 	"spybox/internal/game"
 	"spybox/internal/plot"
 	"spybox/internal/xrand"
@@ -74,15 +73,7 @@ func ArmsRace(p Params) (*Result, error) {
 		// see the package comment and EXPERIMENTS.md.
 		tp := t.Params
 		tp.Seed = p.Seed
-		pair, err := setupAttackPair(tp)
-		if err != nil {
-			return out, err
-		}
-		pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-		if err != nil {
-			return out, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+		pair, ch, err := setupChannel(tp, 2)
 		if err != nil {
 			return out, err
 		}

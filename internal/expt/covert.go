@@ -5,7 +5,7 @@ package expt
 import (
 	"spybox/internal/core"
 	"spybox/internal/plot"
-	"spybox/internal/xrand"
+	"spybox/internal/stats"
 )
 
 // fig9SetCounts returns the x-axis of the Fig. 9 sweep per scale.
@@ -58,24 +58,11 @@ func Fig9(p Params) (*Result, error) {
 	runs := fig9Runs(p.Scale)
 	outs, err := RunTrials(p, len(counts)*runs, func(t Trial) (fig9Trial, error) {
 		numSets := counts[t.Index/runs]
-		pair, err := setupAttackPair(t.Params)
+		_, ch, err := setupChannel(t.Params, numSets)
 		if err != nil {
 			return fig9Trial{}, err
 		}
-		chPairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, numSets)
-		if err != nil {
-			return fig9Trial{}, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, chPairs, core.DefaultCovertConfig())
-		if err != nil {
-			return fig9Trial{}, err
-		}
-		msgRNG := xrand.New(t.Params.Seed ^ 0xc0de)
-		msg := make([]byte, fig9MessageBytes(p.Scale))
-		for i := range msg {
-			msg[i] = byte(msgRNG.Uint64())
-		}
-		tx, err := ch.Transmit(msg)
+		tx, err := ch.Transmit(randomMessage(t.Params.Seed^0xc0de, fig9MessageBytes(p.Scale)))
 		if err != nil {
 			return fig9Trial{}, err
 		}
@@ -109,35 +96,17 @@ func Fig9(p Params) (*Result, error) {
 	r.Notef("paper: bandwidth rises with sets, error rises too; best 3.95 MB/s at 4 sets, 1.3%% error.")
 	r.Notef("simulated probes are not warp-pipelined to silicon speed, so absolute MB/s is lower;")
 	r.Notef("the shape (both curves rising, error exploding past ~4-8 sets) is the reproduced claim.")
-	r.SetMetric("best_bandwidth_MBps", "MB/s", maxSlice(bwSeries.Y))
+	r.SetMetric("best_bandwidth_MBps", "MB/s", stats.Max(bwSeries.Y))
 	r.SetMetric("error_at_max_sets_pct", "%", errSeries.Y[len(errSeries.Y)-1])
 	r.SetMetric("error_at_1_set_pct", "%", errSeries.Y[0])
 	return r, nil
-}
-
-func maxSlice(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Fig10 transmits the paper's greeting across the channel and renders
 // the spy-side probe waveform: ~630-cycle plateaus for '0' bits and
 // ~950-cycle plateaus for '1' bits, exactly the levels in the paper.
 func Fig10(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 1)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	_, ch, err := setupChannel(p, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -176,22 +145,11 @@ func Fig10(p Params) (*Result, error) {
 		series.X, series.Y = series.X[:400], series.Y[:400]
 	}
 	r.Chart(plot.Line([]plot.Series{series}, 72, 12, "spy clock (cycles)", "probe cycles"))
-	z, o := mean(zeroLats), mean(oneLats)
+	z, o := stats.Mean(zeroLats), stats.Mean(oneLats)
 	r.Rowf("'0' level: %.0f cycles (paper: ~630); '1' level: %.0f cycles (paper: ~950)",
 		fu("zero_level", "cycles", z), fu("one_level", "cycles", o))
 	r.SetMetric("zero_level_cycles", "cycles", z)
 	r.SetMetric("one_level_cycles", "cycles", o)
 	r.SetMetric("bit_error_rate", "", tx.ErrorRate())
 	return r, nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

@@ -6,11 +6,9 @@ import (
 	"fmt"
 
 	"spybox/internal/arch"
-	"spybox/internal/core"
 	"spybox/internal/cudart"
 	"spybox/internal/mitigate"
 	"spybox/internal/victim"
-	"spybox/internal/xrand"
 )
 
 // secVIMessageBytes sizes the probe transmissions.
@@ -45,28 +43,15 @@ func SecVI(p Params) (*Result, error) {
 		withNoise, withBlocking := conds[t.Index].withNoise, conds[t.Index].withBlocking
 		tp := t.Params
 		tp.Seed = p.Seed
-		pair, err := setupAttackPair(tp)
+		pair, ch, err := setupChannel(tp, 2)
 		if err != nil {
 			return sec6Trial{}, err
 		}
-		pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-		if err != nil {
-			return sec6Trial{}, err
-		}
-		ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
-		if err != nil {
-			return sec6Trial{}, err
-		}
-		msgRNG := xrand.New(p.Seed ^ 0x6e)
-		msg := make([]byte, secVIMessageBytes(p.Scale))
-		for i := range msg {
-			msg[i] = byte(msgRNG.Uint64())
-		}
+		msg := randomMessage(p.Seed^0x6e, secVIMessageBytes(p.Scale))
 
-		var blocker *mitigate.OccupancyBlocker
 		var innerStop *bool
 		if withBlocking {
-			blocker, err = mitigate.Occupy(pair.m, trojanGPU, p.Seed^0xb10c,
+			_, err = mitigate.Occupy(pair.m, trojanGPU, p.Seed^0xb10c,
 				func() bool { return innerStop != nil && *innerStop })
 			if err != nil {
 				return sec6Trial{}, err
@@ -88,7 +73,6 @@ func SecVI(p Params) (*Result, error) {
 		if err != nil {
 			return sec6Trial{}, err
 		}
-		_ = blocker
 		return sec6Trial{errRate: tx.ErrorRate(), placed: noisePlaced}, nil
 	})
 	if err != nil {
@@ -123,15 +107,7 @@ func SecVI(p Params) (*Result, error) {
 // busiest link: sustained fine-grained probing keeps every subwindow
 // hot, while benign bulk transfers light up only the burst's window.
 func SecVII(p Params) (*Result, error) {
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	pair, ch, err := setupChannel(p, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +176,7 @@ func SecVII(p Params) (*Result, error) {
 
 	// (c) covert channel window.
 	covSampler := mitigate.NewSampler(pair.m.Topology(), interval)
-	msg := make([]byte, secVIMessageBytes(p.Scale))
-	rng := xrand.New(p.Seed ^ 0x703)
-	for i := range msg {
-		msg[i] = byte(rng.Uint64())
-	}
+	msg := randomMessage(p.Seed^0x703, secVIMessageBytes(p.Scale))
 	tx, err := ch.TransmitWith(msg, func(stop *bool) error {
 		return covSampler.Launch(pair.m, samplerGPU, p.Seed^0x712, func() bool { return *stop })
 	})

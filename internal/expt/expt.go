@@ -22,6 +22,7 @@ import (
 	"spybox/internal/arch"
 	"spybox/internal/core"
 	"spybox/internal/sim"
+	"spybox/internal/xrand"
 	"spybox/pkg/spybox/report"
 )
 
@@ -372,37 +373,64 @@ func discoveryPages(prof arch.Profile, s Scale) int {
 	}
 }
 
-// setupAttackPair builds machine + both attackers and runs discovery
-// on each. The thresholds come from a real Fig. 4 characterization
-// run, not from constants; the cache geometry (associativity, buffer
-// sizing) comes from the machine's profile, never from the P100
-// package constants.
+// setupAttackPair builds the run's machine and the attack pair on it.
 func setupAttackPair(p Params) (*attackPair, error) {
-	m := machineFor(p, sim.Options{Seed: p.Seed})
+	return attackPairOn(machineFor(p, sim.Options{Seed: p.Seed}), p)
+}
+
+// attackPairOn builds both attackers on m and runs discovery on each.
+// The thresholds come from a real Fig. 4 characterization run, not
+// from constants; the cache geometry (associativity, buffer sizing)
+// comes from the machine's profile, never from the P100 package
+// constants.
+func attackPairOn(m *sim.Machine, p Params) (*attackPair, error) {
 	prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
 	if err != nil {
 		return nil, err
 	}
 	pages := discoveryPages(m.Profile(), p.Scale)
-	trojan, err := core.NewAttacker(m, trojanGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x1)
+	trojan, tSets, err := newDiscovered(m, trojanGPU, pages, prof.Thresholds, p.Seed^0x1)
 	if err != nil {
 		return nil, err
 	}
-	spy, err := core.NewAttacker(m, spyGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x2)
+	spy, sSets, err := newDiscovered(m, spyGPU, pages, prof.Thresholds, p.Seed^0x2)
 	if err != nil {
 		return nil, err
 	}
-	tg, err := trojan.DiscoverPageGroups(trojan.Ways())
-	if err != nil {
-		return nil, err
-	}
-	sg, err := spy.DiscoverPageGroups(spy.Ways())
-	if err != nil {
-		return nil, err
-	}
-	tSets := trojan.AllEvictionSets(tg, trojan.Ways())
-	sSets := spy.AllEvictionSets(sg, spy.Ways())
 	return &attackPair{m: m, trojan: trojan, spy: spy, trojanSets: tSets, spySets: sSets}, nil
+}
+
+// setupChannel is the covert experiments' common prefix: the run's
+// attack pair and a default-configured channel over its first numSets
+// aligned set pairs.
+func setupChannel(p Params, numSets int) (*attackPair, *core.Channel, error) {
+	pair, err := setupAttackPair(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, numSets)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return pair, ch, nil
+}
+
+// newDiscovered builds an attacker on dev targeting the trojan GPU's
+// L2 and returns it with its discovered eviction sets.
+func newDiscovered(m *sim.Machine, dev arch.DeviceID, pages int, thr core.Thresholds, seed uint64) (*core.Attacker, []core.EvictionSet, error) {
+	a, err := core.NewAttacker(m, dev, trojanGPU, pages, thr, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	groups, err := a.DiscoverPageGroups(a.Ways())
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, a.AllEvictionSets(groups, a.Ways()), nil
 }
 
 // setupSpy builds only the remote spy side (for side channels, where
@@ -412,13 +440,15 @@ func setupSpy(m *sim.Machine, p Params, pages int) (*core.Attacker, []core.Evict
 	if err != nil {
 		return nil, nil, err
 	}
-	spy, err := core.NewAttacker(m, spyGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x2)
-	if err != nil {
-		return nil, nil, err
+	return newDiscovered(m, spyGPU, pages, prof.Thresholds, p.Seed^0x2)
+}
+
+// randomMessage returns n pseudo-random message bytes drawn from seed.
+func randomMessage(seed uint64, n int) []byte {
+	rng := xrand.New(seed)
+	msg := make([]byte, n)
+	for i := range msg {
+		msg[i] = byte(rng.Uint64())
 	}
-	sg, err := spy.DiscoverPageGroups(spy.Ways())
-	if err != nil {
-		return nil, nil, err
-	}
-	return spy, spy.AllEvictionSets(sg, spy.Ways()), nil
+	return msg
 }

@@ -18,7 +18,6 @@ import (
 	"spybox/internal/cudart"
 	"spybox/internal/sim"
 	"spybox/internal/stats"
-	"spybox/internal/xrand"
 )
 
 // MIG runs the covert-channel setup twice: on the stock machine
@@ -31,35 +30,16 @@ func MIG(p Params) (*Result, error) {
 	r := newResult("mig", "MIG-style partitioning defense (Sec. VII)")
 
 	attempt := func(tp Params, partitions int) (aligned bool, detail string, err error) {
-		m := machineFor(tp, sim.Options{Seed: p.Seed, MIGPartitions: partitions})
-		prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
+		pair, err := attackPairOn(machineFor(tp, sim.Options{Seed: p.Seed, MIGPartitions: partitions}), p)
 		if err != nil {
 			return false, "", err
 		}
-		pages := discoveryPages(m.Profile(), p.Scale)
-		trojan, err := core.NewAttacker(m, trojanGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x1)
-		if err != nil {
-			return false, "", err
-		}
-		spy, err := core.NewAttacker(m, spyGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x2)
-		if err != nil {
-			return false, "", err
-		}
-		tg, err := trojan.DiscoverPageGroups(trojan.Ways())
-		if err != nil {
-			return false, "", err
-		}
-		sg, err := spy.DiscoverPageGroups(spy.Ways())
-		if err != nil {
-			return false, "", err
-		}
-		tSets := trojan.AllEvictionSets(tg, trojan.Ways())
-		sSets := spy.AllEvictionSets(sg, spy.Ways())
+		tSets, sSets := pair.trojanSets, pair.spySets
 		detail = fmt.Sprintf("trojan covers %d sets, spy covers %d sets", len(tSets), len(sSets))
 		if len(tSets) == 0 || len(sSets) == 0 {
 			return false, detail, nil
 		}
-		idx, _, err := core.AlignSweep(trojan, spy, tSets[0], sSets, 3)
+		idx, _, err := core.AlignSweep(pair.trojan, pair.spy, tSets[0], sSets, 3)
 		if err != nil {
 			return false, detail, err
 		}
@@ -199,48 +179,24 @@ func MultiGPU(p Params) (*Result, error) {
 	}
 	outs, err := RunTrials(p, len(configs), func(t Trial) (mgTrial, error) {
 		c := configs[t.Index]
-		m := machineFor(t.Params, sim.Options{Seed: p.Seed})
-		prof, err := core.CharacterizeTiming(m, trojanGPU, spyGPU, 48, p.Seed^0xfeed)
+		// The pair's spy is on GPU1 and the second spy on GPU2: both in
+		// GPU0's fully connected quad.
+		pair, err := attackPairOn(machineFor(t.Params, sim.Options{Seed: p.Seed}), p)
 		if err != nil {
 			return mgTrial{}, err
 		}
-		pages := discoveryPages(m.Profile(), p.Scale)
-		trojan, err := core.NewAttacker(m, trojanGPU, trojanGPU, pages, prof.Thresholds, p.Seed^0x1)
-		if err != nil {
-			return mgTrial{}, err
-		}
-		tg, err := trojan.DiscoverPageGroups(trojan.Ways())
-		if err != nil {
-			return mgTrial{}, err
-		}
-		tSets := trojan.AllEvictionSets(tg, trojan.Ways())
-
-		newSpy := func(dev arch.DeviceID, seed uint64) (*core.Attacker, []core.EvictionSet, error) {
-			spy, err := core.NewAttacker(m, dev, trojanGPU, pages, prof.Thresholds, seed)
-			if err != nil {
-				return nil, nil, err
-			}
-			sg, err := spy.DiscoverPageGroups(spy.Ways())
-			if err != nil {
-				return nil, nil, err
-			}
-			return spy, spy.AllEvictionSets(sg, spy.Ways()), nil
-		}
-		// Spies on GPU1 and GPU2: both in GPU0's fully connected quad.
-		spy1, s1Sets, err := newSpy(1, p.Seed^0x2)
-		if err != nil {
-			return mgTrial{}, err
-		}
+		trojan, tSets := pair.trojan, pair.trojanSets
 		// Align only as many pairs as this configuration uses;
 		// alignment walks trojan sets in order, so the first k pairs
 		// match a longer alignment's prefix.
-		pairs1, err := core.AlignChannels(trojan, spy1, tSets[:8], s1Sets, c.spy1Sets)
+		pairs1, err := core.AlignChannels(trojan, pair.spy, tSets[:8], pair.spySets, c.spy1Sets)
 		if err != nil {
 			return mgTrial{}, err
 		}
-		branches := []core.Branch{{Spy: spy1, Pairs: pairs1}}
+		branches := []core.Branch{{Spy: pair.spy, Pairs: pairs1}}
 		if c.twoSpies {
-			spy2, s2Sets, err := newSpy(2, p.Seed^0x3)
+			pages := discoveryPages(pair.m.Profile(), p.Scale)
+			spy2, s2Sets, err := newDiscovered(pair.m, 2, pages, trojan.Thr, p.Seed^0x3)
 			if err != nil {
 				return mgTrial{}, err
 			}
@@ -251,16 +207,11 @@ func MultiGPU(p Params) (*Result, error) {
 			branches = append(branches, core.Branch{Spy: spy2, Pairs: pairs2})
 		}
 
-		msgRNG := xrand.New(p.Seed ^ 0xd0)
-		msg := make([]byte, secVIMessageBytes(p.Scale)*2)
-		for i := range msg {
-			msg[i] = byte(msgRNG.Uint64())
-		}
 		mc, err := core.NewMultiChannel(trojan, branches, core.DefaultCovertConfig())
 		if err != nil {
 			return mgTrial{}, err
 		}
-		tx, err := mc.Transmit(msg)
+		tx, err := mc.Transmit(randomMessage(p.Seed^0xd0, secVIMessageBytes(p.Scale)*2))
 		if err != nil {
 			return mgTrial{}, err
 		}

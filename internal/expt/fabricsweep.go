@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"spybox/internal/arch"
-	"spybox/internal/core"
 	"spybox/internal/cudart"
 	"spybox/internal/xrand"
 )
@@ -74,15 +73,7 @@ type fabricTrial struct {
 // `streams` competing bulk P2P streams pinned to the covert plane.
 func fabricsweepTrial(p Params, streams int) (fabricTrial, error) {
 	out := fabricTrial{streams: streams}
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return out, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, 2)
-	if err != nil {
-		return out, err
-	}
-	ch, err := core.NewChannel(pair.trojan, pair.spy, pairs, core.DefaultCovertConfig())
+	pair, ch, err := setupChannel(p, 2)
 	if err != nil {
 		return out, err
 	}
@@ -126,11 +117,7 @@ func fabricsweepTrial(p Params, streams int) (fabricTrial, error) {
 	// Only the transmission window should be measured: discovery and
 	// alignment also crossed the fabric.
 	topo.ResetStats()
-	msgRNG := xrand.New(p.Seed ^ 0xfab)
-	msg := make([]byte, archsweepMessageBytes(p.Scale))
-	for i := range msg {
-		msg[i] = byte(msgRNG.Uint64())
-	}
+	msg := randomMessage(p.Seed^0xfab, archsweepMessageBytes(p.Scale))
 	tx, err := ch.TransmitWith(msg, func(stop *bool) error {
 		for i, c := range comps {
 			c := c

@@ -339,10 +339,9 @@ type request struct {
 	stride int
 
 	// results
-	value   uint64
-	lat     arch.Cycles
-	misses  int
-	touched []int // set indices touched (opStream, optional)
+	value  uint64
+	lat    arch.Cycles
+	misses int
 }
 
 // Worker is one simulated thread block's execution context.
