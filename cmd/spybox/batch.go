@@ -22,14 +22,8 @@ import (
 
 // splitSeeds parses a comma-separated seed list ("1,2,3").
 func splitSeeds(s string) ([]uint64, error) {
-	if s == "" {
-		return nil, nil
-	}
 	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
+	for _, part := range splitList(s) {
 		v, err := strconv.ParseUint(part, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("batch: bad seed %q: %w", part, err)
@@ -72,9 +66,13 @@ func batchCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	exps := splitList(ids)
+	if ids == "all" {
+		exps = nil // the server expands an empty list to every experiment
+	}
 	cli := service.NewClient(*addr)
 	st, err := cli.SubmitBatch(service.BatchSpec{
-		Experiments: splitIDs(ids),
+		Experiments: exps,
 		Scales:      splitList(*scales),
 		Seeds:       seedList,
 		Arch:        *archName,

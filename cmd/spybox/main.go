@@ -154,12 +154,7 @@ func selectIDs(ids string) ([]string, error) {
 	if ids == "all" {
 		return spybox.ExpandIDs()
 	}
-	var todo []string
-	for _, id := range strings.Split(ids, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			todo = append(todo, id)
-		}
-	}
+	todo := splitList(ids)
 	if len(todo) == 0 {
 		return nil, fmt.Errorf("no experiment IDs in %q", ids)
 	}

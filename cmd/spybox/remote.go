@@ -19,23 +19,6 @@ import (
 	"spybox/pkg/spybox/service"
 )
 
-// splitIDs turns the CLI's comma-separated experiment selection into
-// a JobSpec list: "all" (or empty) means every experiment, spelled as
-// an empty list so the server expands it. Validation is deliberately
-// left to the server — these commands prove the HTTP API is enough.
-func splitIDs(ids string) []string {
-	if ids == "all" {
-		return nil
-	}
-	var out []string
-	for _, id := range strings.Split(ids, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 func submitCmd(args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "spybox serve address")
@@ -57,9 +40,16 @@ func submitCmd(args []string) error {
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("submit: unknown format %q (text|json)", *format)
 	}
+	// "all" travels as an empty list, which the server expands.
+	// Validation is left to the server: these commands prove the HTTP
+	// API is enough.
+	exps := splitList(ids)
+	if ids == "all" {
+		exps = nil
+	}
 	cli := service.NewClient(*addr)
 	id, err := cli.Submit(spybox.JobSpec{
-		Experiments: splitIDs(ids), Seed: *seed, Scale: *scaleStr, Arch: *archName, Parallel: *parallel,
+		Experiments: exps, Seed: *seed, Scale: *scaleStr, Arch: *archName, Parallel: *parallel,
 		Priority: *priority,
 	})
 	if err != nil {

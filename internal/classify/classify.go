@@ -156,10 +156,16 @@ type KNN struct {
 	Data []Sample
 }
 
-// NewKNN stores the training data. k must be positive.
+// NewKNN stores the training data. k must be positive and every label
+// non-negative (Predict tallies votes in a slice indexed by class).
 func NewKNN(k int, train []Sample) (*KNN, error) {
 	if k <= 0 || len(train) == 0 {
 		return nil, fmt.Errorf("classify: bad kNN parameters (k=%d, n=%d)", k, len(train))
+	}
+	for i, s := range train {
+		if s.Y < 0 {
+			return nil, fmt.Errorf("classify: sample %d has negative label %d", i, s.Y)
+		}
 	}
 	return &KNN{K: k, Data: train}, nil
 }
@@ -184,14 +190,19 @@ func (kn *KNN) Predict(x []float64) int {
 	if k > len(ds) {
 		k = len(ds)
 	}
-	votes := map[int]int{}
+	maxY := 0
+	for _, n := range ds[:k] {
+		maxY = max(maxY, n.y)
+	}
+	votes := make([]int, maxY+1)
 	for _, n := range ds[:k] {
 		votes[n.y]++
 	}
-	best, bestN := -1, -1
-	//spylint:allow detrand order-independent fold: max vote count with smallest-class tie-break
+	// Ascending scan, strictly greater wins: ties go to the smallest
+	// class.
+	best, bestN := -1, 0
 	for y, n := range votes {
-		if n > bestN || (n == bestN && y < best) {
+		if n > bestN {
 			best, bestN = y, n
 		}
 	}

@@ -80,6 +80,17 @@ func TestKNN(t *testing.T) {
 	if _, err := NewKNN(1, nil); err == nil {
 		t.Error("empty train accepted")
 	}
+	if _, err := NewKNN(1, []Sample{{X: []float64{0}, Y: -1}}); err == nil {
+		t.Error("negative label accepted")
+	}
+	// A tied vote goes to the smallest class, whatever the order.
+	tied, err := NewKNN(2, []Sample{{X: []float64{1}, Y: 4}, {X: []float64{-1}, Y: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tied.Predict([]float64{0}); got != 2 {
+		t.Errorf("tied vote predicted class %d, want 2", got)
+	}
 }
 
 func TestSplitFractions(t *testing.T) {

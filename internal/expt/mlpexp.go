@@ -30,10 +30,9 @@ func mlpDims(s Scale) (sets, epochCap int, cfg victim.MLPVictimConfig) {
 	}
 }
 
-// mlpHiddenSizes is Table II's sweep.
-//
-//spylint:allow detrand effectively const: never written after initialization
-var mlpHiddenSizes = []int{64, 128, 256, 512}
+// mlpHiddenSizes returns Table II's sweep. A function rather than a
+// package var — expt is a detrand package.
+func mlpHiddenSizes() []int { return []int{64, 128, 256, 512} }
 
 // recordMLPGram runs one MLP victim's training kernel under the
 // monitor.
@@ -76,15 +75,16 @@ func mlpMeasure(tp Params, h int) (*memgram.Gram, *core.MonitorResult, error) {
 // sizes: miss intensity grows with the hidden layer. Trial-decomposed:
 // one trial (machine + spy + victim) per hidden size.
 func Fig13(p Params) (*Result, error) {
-	grams, err := RunTrials(p, len(mlpHiddenSizes), func(t Trial) (*memgram.Gram, error) {
-		gram, _, err := mlpMeasure(t.Params, mlpHiddenSizes[t.Index])
+	sizes := mlpHiddenSizes()
+	grams, err := RunTrials(p, len(sizes), func(t Trial) (*memgram.Gram, error) {
+		gram, _, err := mlpMeasure(t.Params, sizes[t.Index])
 		return gram, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	r := newResult("fig13", "Cache misses per set for MLP victims")
-	for i, h := range mlpHiddenSizes {
+	for i, h := range sizes {
 		gram := grams[i]
 		totals := gram.SetTotals()
 		fs := make([]float64, len(totals))
@@ -121,9 +121,10 @@ func freeVictim(v *victim.MLPVictim) {
 // extraction measurements are eight independent trials.
 func TableII(p Params) (*Result, error) {
 	paperAvg := map[int]float64{64: 5653, 128: 6846, 256: 8744, 512: 10197}
-	nRef := len(mlpHiddenSizes)
+	sizes := mlpHiddenSizes()
+	nRef := len(sizes)
 	avgsOut, err := RunTrials(p, 2*nRef, func(t Trial) (float64, error) {
-		_, res, err := mlpMeasure(t.Params, mlpHiddenSizes[t.Index%nRef])
+		_, res, err := mlpMeasure(t.Params, sizes[t.Index%nRef])
 		if err != nil {
 			return 0, err
 		}
@@ -137,7 +138,7 @@ func TableII(p Params) (*Result, error) {
 	r.Notef("%-18s %-22s %s", "Number of Neurons", "Measured Avg Misses", "Paper Avg Misses")
 	reference := map[int]float64{}
 	avgs := avgsOut[:nRef]
-	for i, h := range mlpHiddenSizes {
+	for i, h := range sizes {
 		avg := avgs[i]
 		reference[h] = avg
 		r.Rowf("%-18d %-22.1f %.0f",
@@ -155,10 +156,10 @@ func TableII(p Params) (*Result, error) {
 	// Model extraction: fresh victims with unknown H (trials nRef..),
 	// classified by nearest reference average.
 	correct := 0
-	for i, h := range mlpHiddenSizes {
+	for i, h := range sizes {
 		obs := avgsOut[nRef+i]
 		best, bestD := 0, -1.0
-		for _, cand := range mlpHiddenSizes {
+		for _, cand := range sizes {
 			d := obs - reference[cand]
 			if d < 0 {
 				d = -d
@@ -174,7 +175,7 @@ func TableII(p Params) (*Result, error) {
 			f("true_hidden", h), fu("observed_avg", "misses", obs), f("inferred_hidden", best))
 	}
 	r.Rowf("model extraction: %d/%d hidden sizes recovered",
-		f("extraction_correct", correct), f("extraction_total", len(mlpHiddenSizes)))
+		f("extraction_correct", correct), f("extraction_total", len(sizes)))
 	r.SetMetric("extraction_correct", "", float64(correct))
 	return r, nil
 }

@@ -111,10 +111,6 @@ func Occupy(m *sim.Machine, dev arch.DeviceID, seed uint64, stop func() bool) (*
 	return b, nil
 }
 
-// LinkSnapshot is a point-in-time copy of per-link transaction
-// counters.
-type LinkSnapshot map[[2]arch.DeviceID]uint64
-
 // Detector watches NVLink traffic for the signature of a cross-GPU
 // cache attack: a sustained stream of fine-grained (cache-line-sized)
 // remote transactions on one link. Sec. VII proposes exactly this. On
@@ -122,7 +118,7 @@ type LinkSnapshot map[[2]arch.DeviceID]uint64
 // is what lets the defense say *which switch plane* a stream rides.
 type Detector struct {
 	topo       *nvlink.Topology
-	prev       LinkSnapshot
+	prev       []uint64 // per-link transaction counters, in Links() order
 	prevPlanes []uint64
 }
 
@@ -134,10 +130,11 @@ func NewDetector(topo *nvlink.Topology) *Detector {
 	return d
 }
 
-func (d *Detector) snapshot() LinkSnapshot {
-	s := make(LinkSnapshot)
-	for _, l := range d.topo.Links() {
-		s[[2]arch.DeviceID{l.A, l.B}] = l.Transactions
+func (d *Detector) snapshot() []uint64 {
+	links := d.topo.Links()
+	s := make([]uint64, len(links))
+	for i, l := range links {
+		s[i] = l.Transactions
 	}
 	return s
 }
@@ -172,12 +169,11 @@ type Observation struct {
 func (d *Detector) Sample() Observation {
 	cur := d.snapshot()
 	var obs Observation
-	// The fold is order-independent: the sum is commutative, and the
-	// max tie-breaks on the smaller link pair so two equally busy
-	// links always report the same MaxLink.
-	//spylint:allow detrand order-independent fold: commutative sum, max with smallest-pair tie-break
-	for k, v := range cur {
-		delta := v - d.prev[k]
+	// The max tie-breaks on the smaller link pair, so two equally busy
+	// links report the same MaxLink whatever order Links() lists them.
+	for i, l := range d.topo.Links() {
+		k := [2]arch.DeviceID{l.A, l.B}
+		delta := cur[i] - d.prev[i]
 		obs.TotalTxns += delta
 		tieButSmaller := delta == obs.MaxLinkTxns && delta > 0 &&
 			(k[0] < obs.MaxLink[0] || (k[0] == obs.MaxLink[0] && k[1] < obs.MaxLink[1]))

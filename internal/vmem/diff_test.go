@@ -162,7 +162,7 @@ func TestSpaceMatchesMapReference(t *testing.T) {
 					case 1:
 						va = s.brk + arch.VA(stream.Intn(4*arch.PageSize))
 					case 2:
-						va = arch.VA(stream.Intn(1 << 40))
+						va = arch.VA(stream.Uint64() & (1<<40 - 1))
 					default:
 						va = arch.VA(stream.Intn(int(s.brk)))
 					}

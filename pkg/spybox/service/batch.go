@@ -44,14 +44,9 @@ type BatchSpec struct {
 // order and the by-state census. Done==Total means the sweep is fully
 // drained.
 type BatchStatus struct {
-	ID        string         `json:"id"`
-	Jobs      []spybox.JobID `json:"jobs"`
-	Total     int            `json:"total"`
-	Queued    int            `json:"queued"`
-	Running   int            `json:"running"`
-	Done      int            `json:"done"`
-	Failed    int            `json:"failed"`
-	Cancelled int            `json:"cancelled"`
+	ID   string         `json:"id"`
+	Jobs []spybox.JobID `json:"jobs"`
+	census
 }
 
 // Terminal reports whether every job in the batch has finished.
@@ -106,63 +101,19 @@ func expandBatch(spec BatchSpec, limit int) ([]spybox.JobSpec, error) {
 }
 
 // SubmitBatch validates and expands the sweep, persists every job
-// (queued, stamped with the shared batch ID), and returns the batch
-// status. The batch ID is "batch-<n>" where job-<n> is the sweep's
-// first job, which is unique without any extra cross-process counter.
+// (queued, stamped with the shared batch ID; see enqueue), and returns
+// the batch status.
 func (s *Service) SubmitBatch(spec BatchSpec) (BatchStatus, error) {
 	specs, err := expandBatch(spec, s.batchLimit)
 	if err != nil {
 		return BatchStatus{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return BatchStatus{}, spybox.ErrClosed
-	}
-	counts, err := s.store.Counts()
+	ids, batch, err := s.enqueue(specs, true)
 	if err != nil {
-		return BatchStatus{}, fmt.Errorf("service: checking queue depth: %w", err)
+		return BatchStatus{}, err
 	}
-	if counts.Queued+len(specs) > s.queueDepth {
-		return BatchStatus{}, fmt.Errorf("service: batch of %d jobs over queue capacity (%d pending, %d max)",
-			len(specs), counts.Queued, s.queueDepth)
-	}
-	batch := ""
-	st := BatchStatus{}
-	for i, norm := range specs {
-		for {
-			s.seq++
-			if i == 0 {
-				// The first member names the batch; if its ID is taken
-				// by a racing peer, the retry renames both together.
-				batch = fmt.Sprintf("batch-%d", s.seq)
-			}
-			status := spybox.JobStatus{
-				ID:    spybox.JobID(fmt.Sprintf("job-%d", s.seq)),
-				Spec:  norm,
-				State: spybox.JobQueued,
-				Total: len(norm.Experiments),
-				Batch: batch,
-			}
-			err := s.store.Create(Record{Status: status})
-			if err == nil {
-				st.Jobs = append(st.Jobs, status.ID)
-				break
-			}
-			if !errors.Is(err, ErrExists) {
-				// Jobs created before the failure stand — they are
-				// valid, runnable members of a smaller batch.
-				return BatchStatus{}, fmt.Errorf("service: persisting batch job %d of %d: %w", i+1, len(specs), err)
-			}
-		}
-	}
-	st.ID = batch
-	st.Total = len(st.Jobs)
-	st.Queued = len(st.Jobs)
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	st := BatchStatus{ID: batch, Jobs: ids}
+	st.Total, st.Queued = len(ids), len(ids)
 	return st, nil
 }
 
@@ -178,19 +129,7 @@ func (s *Service) Batch(id string) (BatchStatus, error) {
 			continue
 		}
 		st.Jobs = append(st.Jobs, rec.Status.ID)
-		st.Total++
-		switch rec.Status.State {
-		case spybox.JobQueued:
-			st.Queued++
-		case spybox.JobRunning:
-			st.Running++
-		case spybox.JobDone:
-			st.Done++
-		case spybox.JobFailed:
-			st.Failed++
-		case spybox.JobCancelled:
-			st.Cancelled++
-		}
+		st.add(rec.Status.State, 1)
 	}
 	if st.Total == 0 {
 		return BatchStatus{}, fmt.Errorf("%w: %s", ErrNoBatch, id)

@@ -28,7 +28,6 @@ type claim struct {
 	stopRenew chan struct{}
 	renewDone chan struct{}
 	lost      atomic.Bool
-	done      chan struct{} // closed when this process is done with a run
 }
 
 // claimNext leases the next runnable job to this process and starts
@@ -41,7 +40,7 @@ func (s *Service) claimNext() (c *claim, ok bool) {
 	}
 	c = &claim{
 		store: s.store, id: rec.Status.ID, owner: s.owner, ttl: s.leaseTTL, mu: &s.mu,
-		stopRenew: make(chan struct{}), renewDone: make(chan struct{}), done: make(chan struct{}),
+		stopRenew: make(chan struct{}), renewDone: make(chan struct{}),
 	}
 	//spylint:allow ctxflow the job outlives the submitting request; cancellation routes through Cancel/Delete and lease loss, not a caller ctx
 	c.ctx, c.cancel = context.WithCancelCause(context.Background())
@@ -96,13 +95,14 @@ func (c *claim) progress(done, cacheHits int) bool {
 
 // finish ends a run. Under mu it writes rec, the job's terminal
 // record, only if the job is still this process's, then runs closeOut
-// and closes done either way. The job is not this process's after a
-// failed renewal, nor when a final Renew finds the lease gone: the
-// process stalled past the TTL and a peer reclaimed the job before the
-// next tick, or a peer cancelled or deleted it. The record is then the
-// new owner's. Stopping renewal and the final Renew both may wait on a
-// store write, so they run before mu is taken.
-func (c *claim) finish(rec Record, closeOut func()) {
+// either way, telling it whether the write happened. The job is not
+// this process's after a failed renewal, nor when a final Renew finds
+// the lease gone: the process stalled past the TTL and a peer
+// reclaimed the job before the next tick, or a peer cancelled or
+// deleted it. The record is then the new owner's. Stopping renewal and
+// the final Renew both may wait on a store write, so they run before
+// mu is taken.
+func (c *claim) finish(rec Record, closeOut func(written bool)) {
 	c.halt()
 	owned := !c.lost.Load()
 	if owned {
@@ -111,9 +111,5 @@ func (c *claim) finish(rec Record, closeOut func()) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if owned {
-		_ = c.store.Put(rec)
-	}
-	closeOut()
-	close(c.done)
+	closeOut(owned && c.store.Put(rec) == nil)
 }

@@ -7,7 +7,11 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -230,7 +234,7 @@ func TestSubmitBatchValidation(t *testing.T) {
 // census, wait, and the 404/400 edges.
 func TestHTTPBatch(t *testing.T) {
 	t.Parallel()
-	_, cli := newTestServer(t, Options{Workers: 2})
+	svc, cli := newTestServer(t, Options{Workers: 2})
 	st, err := cli.SubmitBatch(BatchSpec{
 		Experiments: []string{"fig4"}, Seeds: []uint64{501, 502}, Scales: []string{"small"}, Parallel: 1,
 	})
@@ -243,6 +247,15 @@ func TestHTTPBatch(t *testing.T) {
 	final, err := cli.WaitBatch(context.Background(), st.ID)
 	if err != nil || final.Done != 2 {
 		t.Fatalf("WaitBatch: %+v, %v", final, err)
+	}
+	// The census keeps its JSON field names and order.
+	rec := httptest.NewRecorder()
+	NewHandler(svc).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/batches/"+st.ID, nil))
+	want := fmt.Sprintf(`{"id":%q,"jobs":[%q,%q],"total":2,"queued":0,"running":0,"done":2,"failed":0,"cancelled":0}`,
+		st.ID, final.Jobs[0], final.Jobs[1])
+	var got bytes.Buffer
+	if err := json.Compact(&got, rec.Body.Bytes()); err != nil || got.String() != want {
+		t.Errorf("batch census JSON (%v):\n got %s\nwant %s", err, got.String(), want)
 	}
 	// Every member is a plain job too, with results.
 	for _, id := range final.Jobs {

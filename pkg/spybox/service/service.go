@@ -96,7 +96,6 @@ type Service struct {
 	mu     sync.Mutex
 	rt     map[spybox.JobID]*claim                         // jobs running in this process
 	subs   map[spybox.JobID]map[chan spybox.Event]struct{} // Watch streams
-	change chan struct{}                                   // closed+replaced on every local state change
 	seq    int
 	closed bool
 
@@ -151,7 +150,6 @@ func New(opts Options) (*Service, error) {
 		batchLimit: opts.BatchLimit,
 		rt:         map[spybox.JobID]*claim{},
 		subs:       map[spybox.JobID]map[chan spybox.Event]struct{}{},
-		change:     make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 	}
@@ -176,13 +174,6 @@ func New(opts Options) (*Service, error) {
 	s.wg.Add(1)
 	go s.observer()
 	return s, nil
-}
-
-// notifyChangeLocked wakes every Wait by closing the change channel
-// and installing a fresh one. Callers hold s.mu.
-func (s *Service) notifyChangeLocked() {
-	close(s.change)
-	s.change = make(chan struct{})
 }
 
 // normalize validates a spec up front and canonicalizes it: every
@@ -219,51 +210,72 @@ func open(spec spybox.JobSpec, events func(spybox.Event)) (*spybox.Session, erro
 	})
 }
 
-// Submit implements spybox.JobService: validate, persist as queued
-// (Create, so an ID collision with a peer process retries with the
-// next sequence number instead of overwriting), nudge a worker.
+// Submit implements spybox.JobService: validate, then enqueue.
 func (s *Service) Submit(spec spybox.JobSpec) (spybox.JobID, error) {
 	norm, err := normalize(spec)
 	if err != nil {
 		return "", err
 	}
-	status := spybox.JobStatus{Spec: norm, State: spybox.JobQueued, Total: len(norm.Experiments)}
-	return s.submitStatus(status)
+	ids, _, err := s.enqueue([]spybox.JobSpec{norm}, false)
+	if err != nil {
+		return "", err
+	}
+	return ids[0], nil
 }
 
-// submitStatus persists a pre-normalized queued status under a fresh
-// ID; SubmitBatch shares it to stamp Batch on expanded jobs.
-func (s *Service) submitStatus(status spybox.JobStatus) (spybox.JobID, error) {
+// enqueue persists one queued job per pre-normalized spec under fresh
+// IDs and nudges a worker. The queue-depth check covers all the specs
+// at once, so they go in together or not at all. Jobs are created with
+// Create, so an ID a peer sharing the store took is skipped rather than
+// overwritten. With batch set, every job is stamped "batch-<n>", where
+// job-<n> is the first job — unique without any cross-process counter.
+// If a write fails midway, the jobs created before it stand: valid,
+// runnable members of a smaller batch.
+func (s *Service) enqueue(specs []spybox.JobSpec, batch bool) (ids []spybox.JobID, batchID string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return "", spybox.ErrClosed
+		return nil, "", spybox.ErrClosed
 	}
 	counts, err := s.store.Counts()
 	if err != nil {
-		return "", fmt.Errorf("service: checking queue depth: %w", err)
+		return nil, "", fmt.Errorf("service: checking queue depth: %w", err)
 	}
-	if counts.Queued >= s.queueDepth {
-		return "", fmt.Errorf("service: queue full (%d jobs pending)", counts.Queued)
+	if counts.Queued+len(specs) > s.queueDepth {
+		return nil, "", fmt.Errorf("service: queue full (%d jobs pending, %d submitted, %d max)",
+			counts.Queued, len(specs), s.queueDepth)
 	}
-	for {
-		s.seq++
-		status.ID = spybox.JobID(fmt.Sprintf("job-%d", s.seq))
-		err := s.store.Create(Record{Status: status})
-		if err == nil {
-			break
+	for i, spec := range specs {
+		for {
+			s.seq++
+			if batch && i == 0 {
+				// If the first ID is taken by a racing peer, the retry
+				// renames job and batch together.
+				batchID = fmt.Sprintf("batch-%d", s.seq)
+			}
+			status := spybox.JobStatus{
+				ID:    spybox.JobID(fmt.Sprintf("job-%d", s.seq)),
+				Spec:  spec,
+				State: spybox.JobQueued,
+				Total: len(spec.Experiments),
+				Batch: batchID,
+			}
+			err := s.store.Create(Record{Status: status})
+			if err == nil {
+				ids = append(ids, status.ID)
+				break
+			}
+			if !errors.Is(err, ErrExists) {
+				s.seq--
+				return nil, "", fmt.Errorf("service: persisting job %d of %d: %w", i+1, len(specs), err)
+			}
 		}
-		if !errors.Is(err, ErrExists) {
-			s.seq--
-			return "", fmt.Errorf("service: persisting job: %w", err)
-		}
-		// A peer sharing the store took this ID; try the next one.
 	}
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return status.ID, nil
+	return ids, batchID, nil
 }
 
 // Job implements spybox.JobService.
@@ -291,39 +303,35 @@ func (s *Service) Jobs() ([]spybox.JobStatus, error) {
 	return out, nil
 }
 
-// Wait implements spybox.JobService. Local completions wake it
-// immediately through the change broadcast; jobs finished by a peer
-// process are noticed within one poll interval.
+// Wait implements spybox.JobService: it follows the job's Watch
+// stream until it closes, then reports where the job stands. A local
+// run closes the stream as it ends; a job a peer process finishes is
+// noticed by the observer within one poll interval; a drain (Close)
+// ends it for jobs nothing here will run, which then stay queued in a
+// durable store for the next start.
 func (s *Service) Wait(ctx context.Context, id spybox.JobID) (spybox.JobStatus, error) {
 	if ctx == nil {
 		//spylint:allow ctxflow documented nil-ctx default: a nil ctx means wait forever, per the JobService contract
 		ctx = context.Background()
 	}
+	events, unsub, err := s.Watch(id)
+	if err != nil {
+		return spybox.JobStatus{}, err
+	}
+	defer unsub()
 	for {
-		s.mu.Lock()
-		ch := s.change
-		closed := s.closed
-		running := s.rt[id] != nil
-		s.mu.Unlock()
-		status, err := s.Job(id)
-		if err != nil || status.State.Terminal() {
+		select {
+		case _, open := <-events:
+			if !open {
+				return s.Job(id)
+			}
+		case <-ctx.Done():
+			status, err := s.Job(id)
+			if err == nil {
+				err = ctx.Err()
+			}
 			return status, err
 		}
-		if closed && !running {
-			// Drained: nothing in this process will finish the job. It
-			// survives (still queued) in a durable store for the next
-			// start; report where it stands.
-			return status, nil
-		}
-		timer := time.NewTimer(s.poll)
-		select {
-		case <-ch: // local state change: re-check immediately
-		case <-timer.C: // a peer may have finished it
-		case <-ctx.Done():
-			timer.Stop()
-			return status, ctx.Err()
-		}
-		timer.Stop()
 	}
 }
 
@@ -371,39 +379,22 @@ func (s *Service) cancelLocked(id spybox.JobID) error {
 		return err
 	}
 	s.closeSubsLocked(id)
-	s.notifyChangeLocked()
 	return nil
 }
 
 // Delete cancels the job if it is still live and removes its record.
 // A job running in this process must finish persisting its partial
-// results before the record can be removed out from under it; ctx
-// bounds that wait (nil means wait indefinitely). The job stays
-// cancelled either way — on ctx expiry only the record removal is
-// abandoned.
+// results before the record can be removed out from under it, so
+// Delete waits for the job's Watch stream to end; ctx bounds that wait
+// (nil means wait indefinitely). The job stays cancelled either way —
+// on ctx expiry only the record removal is abandoned.
 func (s *Service) Delete(ctx context.Context, id spybox.JobID) error {
-	if ctx == nil {
-		//spylint:allow ctxflow documented nil-ctx default: wait for the run to persist, as before the ctx parameter existed
-		ctx = context.Background()
-	}
-	s.mu.Lock()
-	if err := s.cancelLocked(id); err != nil {
-		s.mu.Unlock()
+	if err := s.Cancel(id); err != nil {
 		return err
 	}
-	c := s.rt[id]
-	s.mu.Unlock()
-	if c != nil {
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if _, err := s.Wait(ctx, id); err != nil && !errors.Is(err, spybox.ErrNoJob) {
+		return err
 	}
-	s.mu.Lock()
-	s.closeSubsLocked(id)
-	s.notifyChangeLocked()
-	s.mu.Unlock()
 	return s.store.Delete(id)
 }
 
@@ -425,10 +416,13 @@ func (s *Service) Result(id spybox.JobID) ([]*report.Result, error) {
 
 // Watch subscribes to a job's progress events. The channel closes
 // when the job reaches a terminal state (immediately, for already
-// terminal jobs); a slow receiver drops events rather than stalling
-// the simulation. Only the process running the job sees its events,
-// so a stream opened on a peer's job carries nothing and simply
-// closes when the job finishes. The returned func unsubscribes.
+// terminal jobs), or when a drain leaves the job to a peer or the next
+// start: a job not running here has its stream closed by Close, or at
+// once after it, while a run here keeps its stream open until the run
+// persists. A slow receiver drops events rather than stalling the
+// simulation. Only the process running the job sees its events, so a
+// stream opened on a peer's job carries nothing and simply closes when
+// the job finishes. The returned func unsubscribes.
 func (s *Service) Watch(id spybox.JobID) (<-chan spybox.Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,7 +434,7 @@ func (s *Service) Watch(id spybox.JobID) (<-chan spybox.Event, func(), error) {
 		return nil, nil, fmt.Errorf("%w: %s", spybox.ErrNoJob, id)
 	}
 	ch := make(chan spybox.Event, 64)
-	if rec.Status.State.Terminal() || s.closed {
+	if rec.Status.State.Terminal() || (s.closed && s.rt[id] == nil) {
 		close(ch)
 		return ch, func() {}, nil
 	}
@@ -516,9 +510,11 @@ func (s *Service) worker() {
 	}
 }
 
-// observer closes Watch streams for jobs that a peer process finished
-// (locally run jobs close theirs as the run ends, immediately).
-// It only touches the store while streams are open.
+// observer closes Watch streams, and so ends Waits, on jobs that a
+// peer process finished or deleted. Runs here close theirs as they
+// end, unless the terminal write did not happen (the lease went to a
+// peer); the observer then closes them once the job does finish. It
+// only touches the store while streams are open.
 func (s *Service) observer() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.poll)
@@ -539,7 +535,6 @@ func (s *Service) observer() {
 				}
 				if !ok || rec.Status.State.Terminal() {
 					s.closeSubsLocked(id)
-					s.notifyChangeLocked()
 				}
 			}
 			s.mu.Unlock()
@@ -616,8 +611,8 @@ func (s *Service) runJob(c *claim) {
 			}
 			// Progress checkpoint. No s.mu: while the job is running,
 			// this goroutine is the record's only writer (cancellation
-			// routes through the claim's context, Delete blocks on
-			// c.done, and stores serialize internally). Results stay in
+			// routes through the claim's context, Delete waits for
+			// the run to end, and stores serialize internally). Results stay in
 			// memory until the terminal write — a restart re-runs
 			// non-terminal jobs from scratch anyway, so persisting
 			// partials per experiment would only bloat the job log with
@@ -645,13 +640,16 @@ func (s *Service) runJob(c *claim) {
 		rec.Status.State = spybox.JobFailed
 		rec.Status.Error = runErr.Error()
 	}
-	// Close out the run whether or not the job is still ours: Delete
-	// stops blocking, every subscriber stream ends, waiters wake, and
-	// the rt entry goes so a long-lived server keeps none per job run.
-	c.finish(rec, func() {
+	// Close out the run whether or not the job is still ours: the rt
+	// entry goes, so a long-lived server keeps none per job run. Once
+	// the terminal record is written, or on a drain, every Watch stream
+	// ends, and with it every Wait and Delete; otherwise the job is a
+	// peer's and the observer ends them when it finishes.
+	c.finish(rec, func(written bool) {
 		delete(s.rt, id)
-		s.closeSubsLocked(id)
-		s.notifyChangeLocked()
+		if written || s.closed {
+			s.closeSubsLocked(id)
+		}
 	})
 }
 
@@ -685,15 +683,13 @@ func (s *Service) Close(ctx context.Context) error {
 		for _, c := range s.rt {
 			c.cancel(nil) // the worker persists partials, then finishes the run
 		}
-		// End Watch streams on jobs this process isn't running —
-		// nothing here will ever feed them — and wake every Wait so it
-		// can observe the drain.
+		// End Watch streams, and with them Waits, on jobs this process
+		// isn't running: nothing here will ever feed them.
 		for id := range s.subs {
 			if s.rt[id] == nil {
 				s.closeSubsLocked(id)
 			}
 		}
-		s.notifyChangeLocked()
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})

@@ -595,3 +595,114 @@ func TestDeleteHonoursContext(t *testing.T) {
 		t.Errorf("deleted job still known: %v", err)
 	}
 }
+
+// TestDrainKeepsRunningStreamOpen: a Watch opened while Close drains a
+// job still running here stays open until the run persists, and a Wait
+// opened then returns the run's terminal state, never running. The
+// stallStore holds the run's final ownership check, so the drain has
+// begun but the terminal write has not happened while both are opened.
+func TestDrainKeepsRunningStreamOpen(t *testing.T) {
+	t.Parallel()
+	st := &stallStore{Store: memStore(t), stall: make(chan struct{})}
+	svc := newTestService(t, Options{Store: st, Workers: 1, LeaseTTL: time.Minute})
+	var unstall sync.Once
+	resume := func() { unstall.Do(func() { close(st.stall) }) }
+	t.Cleanup(resume) // before the drain, should the test stop early
+	id, err := svc.Submit(smallSpec("fig9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runningClaim(t, svc, id)
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close(context.Background()) }()
+	<-svc.stop // the drain has begun
+
+	events, unsub, err := svc.Watch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsub()
+	waited := make(chan spybox.JobStatus, 1)
+	go func() {
+		status, err := svc.Wait(context.Background(), id)
+		if err != nil {
+			t.Errorf("Wait during drain: %v", err)
+		}
+		waited <- status
+	}()
+	// Take what the run has published so far; the stream must not end.
+	for drained := false; !drained; {
+		select {
+		case _, open := <-events:
+			if !open {
+				t.Fatal("Watch opened during the drain closed before the run persisted")
+			}
+		default:
+			drained = true
+		}
+	}
+	select {
+	case status := <-waited:
+		t.Fatalf("Wait returned %v before the run persisted", status.State)
+	default:
+	}
+
+	resume()
+	select {
+	case status := <-waited:
+		if s := status.State; s != spybox.JobCancelled && s != spybox.JobDone {
+			t.Errorf("Wait during drain returned %v, want cancelled or done", s)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait hung through the drain")
+	}
+	for range events {
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// noClaimStore hands out no work, so every submission stays queued.
+type noClaimStore struct{ Store }
+
+func (noClaimStore) Claim(string, time.Duration) (Record, bool, error) {
+	return Record{}, false, nil
+}
+
+// TestQueueDepth: Submit and SubmitBatch share one queue bound, and a
+// batch that would overfill the queue is refused whole.
+func TestQueueDepth(t *testing.T) {
+	t.Parallel()
+	st := noClaimStore{memStore(t)}
+	svc := newTestService(t, Options{Store: st, Workers: 1, QueueDepth: 3})
+	var ids []spybox.JobID
+	for i := 0; i < 3; i++ {
+		id, err := svc.Submit(smallSpec("fig4"))
+		if err != nil {
+			t.Fatalf("Submit %d of 3: %v", i+1, err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := svc.Submit(smallSpec("fig4")); err == nil || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("Submit over QueueDepth: %v", err)
+	}
+	if err := svc.Cancel(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	pair := BatchSpec{Experiments: []string{"fig4"}, Seeds: []uint64{1, 2}, Scales: []string{"small"}}
+	if _, err := svc.SubmitBatch(pair); err == nil || !strings.Contains(err.Error(), "queue full") {
+		t.Fatalf("two-job batch onto two queued of three: %v", err)
+	}
+	if c, err := st.Counts(); err != nil || c.Total != 3 || c.Queued != 2 {
+		t.Fatalf("refused batch left census %+v, %v; want 3 jobs, 2 queued", c, err)
+	}
+	pair.Seeds = pair.Seeds[:1]
+	b, err := svc.SubmitBatch(pair)
+	if err != nil {
+		t.Fatalf("one-job batch filling the queue: %v", err)
+	}
+	if want := "batch-4"; b.ID != want || len(b.Jobs) != 1 || b.Jobs[0] != "job-4" {
+		t.Errorf("batch %+v, want %s holding job-4", b, want)
+	}
+}

@@ -80,16 +80,39 @@ func (r Record) clone() Record {
 // Counts is the by-state census of a store, cheap enough to call on
 // every Submit (unlike List, which deep-copies every record).
 type Counts struct {
+	census
+	// Leased counts non-terminal records under a live lease.
+	Leased int `json:"leased"`
+	// Cached counts the distinct cache keys done records hold.
+	Cached int `json:"cached"`
+}
+
+// census tallies jobs by state; Counts and BatchStatus embed it.
+type census struct {
 	Total     int `json:"total"`
 	Queued    int `json:"queued"`
 	Running   int `json:"running"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
 	Cancelled int `json:"cancelled"`
-	// Leased counts non-terminal records under a live lease.
-	Leased int `json:"leased"`
-	// Cached counts the distinct cache keys done records hold.
-	Cached int `json:"cached"`
+}
+
+// add counts a job in state entering (d = 1) or leaving (d = -1) the
+// tally.
+func (c *census) add(state spybox.JobState, d int) {
+	c.Total += d
+	switch state {
+	case spybox.JobQueued:
+		c.Queued += d
+	case spybox.JobRunning:
+		c.Running += d
+	case spybox.JobDone:
+		c.Done += d
+	case spybox.JobFailed:
+		c.Failed += d
+	case spybox.JobCancelled:
+		c.Cancelled += d
+	}
 }
 
 // ErrExists is returned by Create when the record's ID is already
@@ -208,23 +231,6 @@ func (t *jobTable) index(rec *Record, d int) {
 	}
 }
 
-// countState adjusts the census for one record entering (+1) or
-// leaving (-1) its state.
-func (t *jobTable) countState(state spybox.JobState, d int) {
-	switch state {
-	case spybox.JobQueued:
-		t.counts.Queued += d
-	case spybox.JobRunning:
-		t.counts.Running += d
-	case spybox.JobDone:
-		t.counts.Done += d
-	case spybox.JobFailed:
-		t.counts.Failed += d
-	case spybox.JobCancelled:
-		t.counts.Cancelled += d
-	}
-}
-
 // put applies Put semantics: upsert, keep the stored lease (the Lease
 // field of the argument is ignored), clear it on terminal records.
 func (t *jobTable) put(rec Record) {
@@ -232,7 +238,7 @@ func (t *jobTable) put(rec Record) {
 	prev, existed := t.byID[id]
 	if existed {
 		rec.Lease = prev.Lease
-		t.countState(prev.Status.State, -1)
+		t.counts.add(prev.Status.State, -1)
 		t.index(prev, -1)
 		if prev.Status.State.Terminal() && !rec.Status.State.Terminal() {
 			// Resurrected: a lazy claim-scan compaction may have
@@ -250,7 +256,6 @@ func (t *jobTable) put(rec Record) {
 		}
 	} else {
 		t.order = append(t.order, id)
-		t.counts.Total++
 		if !rec.Status.State.Terminal() {
 			t.pending = append(t.pending, id)
 		}
@@ -259,7 +264,7 @@ func (t *jobTable) put(rec Record) {
 	if rec.Status.State.Terminal() {
 		rec.Lease = nil
 	}
-	t.countState(rec.Status.State, 1)
+	t.counts.add(rec.Status.State, 1)
 	t.byID[id] = &rec
 	t.index(&rec, 1)
 }
@@ -269,9 +274,8 @@ func (t *jobTable) delete(id spybox.JobID) {
 	if !ok {
 		return
 	}
-	t.countState(rec.Status.State, -1)
+	t.counts.add(rec.Status.State, -1)
 	t.index(rec, -1)
-	t.counts.Total--
 	delete(t.byID, id)
 	for i, o := range t.order {
 		if o == id {
