@@ -307,7 +307,7 @@ func BenchmarkSchedulerEvents(b *testing.B) {
 			b.ResetTimer()
 			for w := 0; w < nw; w++ {
 				base := uint64(0x100000 + w*0x40000)
-				if _, err := m.Spawn(0, "bench", 0, func(wk *sim.Worker) {
+				if _, err := m.Spawn(0, sim.NoOwner, "bench", 0, func(wk *sim.Worker) {
 					for i := 0; i < per; i++ {
 						// Cycle over 32 lines: mostly L2 hits, so the
 						// benchmark times the engine, not the HBM model.
@@ -339,7 +339,7 @@ func BenchmarkRunnerTrials(b *testing.B) {
 			return 0, err
 		}
 		touches := 0
-		if _, err := m.Spawn(0, "trial", 0, func(wk *sim.Worker) {
+		if _, err := m.Spawn(0, sim.NoOwner, "trial", 0, func(wk *sim.Worker) {
 			for i := 0; i < 2000; i++ {
 				wk.TouchCG(arch.MakePA(0, uint64(0x200000+(i%64)*arch.CacheLineSize)))
 				touches++
@@ -405,7 +405,7 @@ func BenchmarkProbeAlloc(b *testing.B) {
 		pas[i] = arch.MakePA(0, uint64(0x300000+i*arch.CacheLineSize))
 	}
 	lats := make([]arch.Cycles, len(pas))
-	if _, err := m.Spawn(0, "probe", 0, func(w *sim.Worker) {
+	if _, err := m.Spawn(0, sim.NoOwner, "probe", 0, func(w *sim.Worker) {
 		for i := 0; i < b.N; i++ {
 			lats, _ = w.ProbeLines(lats, pas)
 		}
@@ -459,4 +459,16 @@ func BenchmarkGameRound(b *testing.B) {
 		eng.Step(obs)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
+}
+
+// BenchmarkExtFabricSweep regenerates the switch-port contention
+// sweep (v100-dgx2, four competitor counts).
+func BenchmarkExtFabricSweep(b *testing.B) {
+	runExperiment(b, "fabricsweep", "err_rise_pct")
+}
+
+// BenchmarkExtArmsRace regenerates the attacker-vs-defense arms race
+// (four defender settings).
+func BenchmarkExtArmsRace(b *testing.B) {
+	runExperiment(b, "armsrace", "dominates")
 }

@@ -96,6 +96,18 @@ func NewAttacker(m *sim.Machine, dev, target arch.DeviceID, pages int, thr Thres
 	}, nil
 }
 
+// Rebind returns a copy of a on m, a machine restored from a
+// checkpoint of a's machine: the process is rebound (see
+// cudart.Process.Rebind), everything else is copied. The copy probes
+// the same lines at the same physical addresses, and a and the copy
+// share nothing mutable.
+func (a *Attacker) Rebind(m *sim.Machine) *Attacker {
+	c := *a
+	c.Proc = a.Proc.Rebind(m)
+	c.m = m
+	return &c
+}
+
 // Remote reports whether the attacker reaches its buffer over NVLink.
 func (a *Attacker) Remote() bool { return a.Proc.Device() != a.Target }
 

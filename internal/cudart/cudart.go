@@ -51,6 +51,19 @@ func NewProcess(m *sim.Machine, dev arch.DeviceID, seed uint64) (*Process, error
 	}, nil
 }
 
+// Rebind returns a copy of p on m, a machine restored from a
+// checkpoint of p's machine (sim.Machine.Restore): the same PID and
+// device, a clone of p's address space over m's physical memory, and
+// a copy of p's RNG state. p and its copy share nothing mutable, so
+// either may run on without the other seeing it.
+func (p *Process) Rebind(m *sim.Machine) *Process {
+	c := *p
+	rng := *p.rng
+	c.m, c.rng = m, &rng
+	c.space = p.space.Clone(m.Phys(), m.FrameFilter(p.pid))
+	return &c
+}
+
 // MustNewProcess panics on error.
 func MustNewProcess(m *sim.Machine, dev arch.DeviceID, seed uint64) *Process {
 	p, err := NewProcess(m, dev, seed)
@@ -150,7 +163,7 @@ func (p *Process) Launch(name string, sharedMemBytes int, body KernelFunc) error
 // LaunchOn starts a kernel on an explicit device (a process can drive
 // several GPUs, as the noise-mitigation study does).
 func (p *Process) LaunchOn(dev arch.DeviceID, name string, sharedMemBytes int, body KernelFunc) error {
-	_, err := p.m.Spawn(dev, fmt.Sprintf("pid%d/%s", p.pid, name), sharedMemBytes, func(w *sim.Worker) {
+	_, err := p.m.Spawn(dev, p.pid, name, sharedMemBytes, func(w *sim.Worker) {
 		body(&Kernel{w: w, p: p})
 	})
 	return err

@@ -209,3 +209,30 @@ func TestLaunchOnOtherDevice(t *testing.T) {
 		t.Errorf("kernel ran on %v, want GPU4", ran)
 	}
 }
+
+// TestPeerFaultNamesLaunch: a kernel touching remote memory without
+// peer access faults with its launch named "pid<PID>/<kernel>", the
+// owner and kernel name joined only when the fault is raised.
+func TestPeerFaultNamesLaunch(t *testing.T) {
+	m := quietMachine(9)
+	owner := MustNewProcess(m, 0, 1)
+	buf, err := owner.Malloc(arch.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := owner.Translate(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := MustNewProcess(m, 1, 2)
+	if err := p.Launch("probe", 0, func(k *Kernel) { k.w.TouchCG(pa) }); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		const want = `sim: worker "pid1/probe" on GPU1 accessed GPU0 memory without peer access`
+		if got := recover(); got != want {
+			t.Fatalf("fault = %v, want %q", got, want)
+		}
+	}()
+	m.Run()
+}

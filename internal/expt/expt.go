@@ -133,6 +133,11 @@ type Params struct {
 	// byte-identical to fresh construction, reuse never influences
 	// results — the pooled-determinism tests pin this.
 	slot *sim.MachineSlot
+	// memo, when non-nil, shares the attack setups of the run seed
+	// among the run's trials (set by the runner; see memo.go). Restored
+	// setups are byte-identical to rebuilt ones, so it never influences
+	// results either.
+	memo *setupMemo
 }
 
 // ctx resolves the run's context; nil means never cancelled.
@@ -373,9 +378,11 @@ func discoveryPages(prof arch.Profile, s Scale) int {
 	}
 }
 
-// setupAttackPair builds the run's machine and the attack pair on it.
+// setupAttackPair builds the run's machine and the attack pair on it,
+// or restores them from the run's setup memo.
 func setupAttackPair(p Params) (*attackPair, error) {
-	return attackPairOn(machineFor(p, sim.Options{Seed: p.Seed}), p)
+	pair, _, err := p.setup(0)
+	return pair, err
 }
 
 // attackPairOn builds both attackers on m and runs discovery on each.
@@ -402,13 +409,10 @@ func attackPairOn(m *sim.Machine, p Params) (*attackPair, error) {
 
 // setupChannel is the covert experiments' common prefix: the run's
 // attack pair and a default-configured channel over its first numSets
-// aligned set pairs.
+// aligned set pairs. Pair and alignment come from the run's setup memo
+// when the trial shares them (see memo.go).
 func setupChannel(p Params, numSets int) (*attackPair, *core.Channel, error) {
-	pair, err := setupAttackPair(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	pairs, err := core.AlignChannels(pair.trojan, pair.spy, pair.trojanSets, pair.spySets, numSets)
+	pair, pairs, err := p.setup(numSets)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -181,7 +181,9 @@ func MultiGPU(p Params) (*Result, error) {
 		c := configs[t.Index]
 		// The pair's spy is on GPU1 and the second spy on GPU2: both in
 		// GPU0's fully connected quad.
-		pair, err := attackPairOn(machineFor(t.Params, sim.Options{Seed: p.Seed}), p)
+		tp := t.Params
+		tp.Seed = p.Seed
+		pair, err := setupAttackPair(tp)
 		if err != nil {
 			return mgTrial{}, err
 		}

@@ -40,7 +40,7 @@ var goldenV100Experiments = []string{"sec7", "fabricsweep"}
 // output change is intended and reviewed.
 func TestGoldenV100(t *testing.T) {
 	if testing.Short() {
-		t.Skip("v100 golden run re-runs the full attack setup five times; skipped in -short CI runs")
+		t.Skip("v100 golden run builds two full attack setups (sec7, and one restored into each fabricsweep condition); skipped in -short CI runs")
 	}
 	t.Parallel()
 	checkGolden(t, "v100-dgx2", goldenV100Experiments, "golden_v100_small.txt")
@@ -73,7 +73,7 @@ var goldenSharedSeedExperiments = []string{"sec6", "mig", "pairs", "multigpu", "
 // machines cannot move a byte unnoticed.
 func TestGoldenSharedSeed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("shared-seed golden run re-runs the full attack setup for every sec6 condition; skipped in -short CI runs")
+		t.Skip("shared-seed golden run builds a full attack setup per experiment run (restored into each sec6 and multigpu condition) and per mig and archsweep machine; skipped in -short CI runs")
 	}
 	t.Parallel()
 	checkGolden(t, "p100-dgx1", goldenSharedSeedExperiments, "golden_shared_seed_small.txt")

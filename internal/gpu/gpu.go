@@ -146,6 +146,17 @@ func (d *Device) Reset(parent *xrand.Source) {
 	d.nextSM = 0
 }
 
+// CopyFrom copies src's L2, HBM and SM occupancy onto d, a device of
+// the same configuration. Outstanding BlockReservations on either
+// device must have been released first: a reservation belongs to the
+// device that placed it.
+func (d *Device) CopyFrom(src *Device) {
+	d.l2.CopyFrom(src.l2)
+	d.mem.CopyFrom(src.mem)
+	copy(d.sms, src.sms)
+	d.nextSM = src.nextSM
+}
+
 // ID returns the device's identity.
 func (d *Device) ID() arch.DeviceID { return d.id }
 

@@ -92,3 +92,10 @@ func (s *Stack) Reset() {
 	s.ResetStats()
 	s.openRow, s.haveRow = 0, false
 }
+
+// CopyFrom copies src's row buffer and counters onto s, a stack of the
+// same machine configuration.
+func (s *Stack) CopyFrom(src *Stack) {
+	s.openRow, s.haveRow = src.openRow, src.haveRow
+	s.reads, s.rowHits, s.bytesRead = src.reads, src.rowHits, src.bytesRead
+}

@@ -374,5 +374,31 @@ func (c *Cache) Reset(parent *xrand.Source) {
 	}
 }
 
+// CopyFrom makes c an exact copy of src, a cache of the same geometry:
+// contents and recency order, fill counts, partition, counters and the
+// replacement RNG's state. Only each set's valid tags are copied; the
+// slots past a set's fill count are never read. c keeps its own
+// arrays, so later accesses to either cache never reach the other.
+func (c *Cache) CopyFrom(src *Cache) {
+	if c.cfg != src.cfg {
+		panic("l2cache: CopyFrom across cache geometries")
+	}
+	ways := c.cfg.Ways
+	for set, n := range src.fill {
+		base := set * ways
+		copy(c.tags[base:base+int(n)], src.tags[base:base+int(n)])
+	}
+	copy(c.fill, src.fill)
+	copy(c.stats, src.stats)
+	c.hits, c.misses, c.evictions = src.hits, src.misses, src.evictions
+	c.partWays = src.partWays
+	if src.rng != nil {
+		if c.rng == nil {
+			c.rng = new(xrand.Source)
+		}
+		*c.rng = *src.rng
+	}
+}
+
 // OccupiedWays returns how many valid lines set holds (test helper).
 func (c *Cache) OccupiedWays(set int) int { return int(c.fill[set]) }

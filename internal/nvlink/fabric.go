@@ -75,6 +75,7 @@ func (p *Port) reserve(now, hold arch.Cycles) arch.Cycles {
 // fabric is the switch-plane stage state attached to an all-to-all
 // topology built from a fabric-enabled profile.
 type fabric struct {
+	//spylint:allow resetcomplete the fabric configuration is profile-derived, fixed at construction
 	cfg     arch.FabricConfig
 	planes  []*Plane
 	egress  [][]*Port // [gpu][plane]
@@ -89,6 +90,37 @@ type fabric struct {
 	// plane's port service — and are cleared by ResetRouting.
 	pin      []int
 	throttle []int
+}
+
+// copyFrom copies src's counters, port state and runtime routing onto
+// f, a fabric of the same configuration. A nil pin or throttle table
+// stays nil, exactly as in src.
+func (f *fabric) copyFrom(src *fabric) {
+	for i, p := range f.planes {
+		p.Transactions, p.Bytes = src.planes[i].Transactions, src.planes[i].Bytes
+	}
+	for g := range f.egress {
+		for pl := range f.egress[g] {
+			f.egress[g][pl].copyFrom(src.egress[g][pl])
+			f.ingress[g][pl].copyFrom(src.ingress[g][pl])
+		}
+	}
+	f.pin = copyInts(f.pin, src.pin)
+	f.throttle = copyInts(f.throttle, src.throttle)
+}
+
+// copyInts returns a copy of src in dst's storage, or nil for a nil src.
+func copyInts(dst, src []int) []int {
+	if src == nil {
+		return nil
+	}
+	return append(dst[:0], src...)
+}
+
+// copyFrom copies src's slot clocks and counters onto p.
+func (p *Port) copyFrom(src *Port) {
+	copy(p.slots, src.slots)
+	p.Bursts, p.Queued, p.QueueCycles = src.Bursts, src.Queued, src.QueueCycles
 }
 
 // ensurePins lazily allocates the pair-override table.

@@ -43,11 +43,14 @@ type Link struct {
 // Switch-based boxes additionally carry a two-stage fabric (fabric.go)
 // with per-plane counters and per-port contention state.
 type Topology struct {
-	links   []*Link
-	adj     [][]*Link // numGPUs x numGPUs
+	links []*Link
+	//spylint:allow resetcomplete the link graph is fixed at construction; CopyFrom copies counters, not wiring
+	adj [][]*Link // numGPUs x numGPUs
+	//spylint:allow resetcomplete the link graph is fixed at construction
 	numGPUs int
-	hopLat  arch.Cycles // round-trip cost per traversal (flat path)
-	fab     *fabric     // nil on point-to-point boxes
+	//spylint:allow resetcomplete hop latency is profile-derived, fixed at construction
+	hopLat arch.Cycles // round-trip cost per traversal (flat path)
+	fab    *fabric     // nil on point-to-point boxes
 }
 
 // newTopology allocates the adjacency for n GPUs with the default
@@ -164,6 +167,38 @@ func (t *Topology) addLink(a, b arch.DeviceID) {
 	t.links = append(t.links, l)
 	t.adj[a][b] = l
 	t.adj[b][a] = l
+}
+
+// Clone returns a deep copy of t: the same link graph, hop latency and
+// fabric, with every counter, port clock and runtime route copied (see
+// CopyFrom). The clone shares nothing mutable with t.
+func (t *Topology) Clone() *Topology {
+	c := newTopology(t.numGPUs)
+	c.hopLat = t.hopLat
+	for _, l := range t.links {
+		c.addLink(l.A, l.B)
+	}
+	if t.fab != nil {
+		c.attachFabric(t.fab.cfg)
+	}
+	c.CopyFrom(t)
+	return c
+}
+
+// CopyFrom copies src's link traffic counters and, on a switch fabric,
+// its plane counters, port clocks and counters, pins and throttles
+// onto t, which must have the same link graph and fabric. t keeps its
+// own storage.
+func (t *Topology) CopyFrom(src *Topology) {
+	if t.numGPUs != src.numGPUs || len(t.links) != len(src.links) || (t.fab == nil) != (src.fab == nil) {
+		panic("nvlink: CopyFrom across link graphs")
+	}
+	for i, l := range t.links {
+		l.Transactions, l.Bytes = src.links[i].Transactions, src.links[i].Bytes
+	}
+	if t.fab != nil {
+		t.fab.copyFrom(src.fab)
+	}
 }
 
 // NumGPUs returns the number of GPUs in the topology.

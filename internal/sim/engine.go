@@ -61,6 +61,18 @@ func (e *engine) reset() {
 	e.next = nil
 }
 
+// copyFrom takes src's worker numbering and event count, so workers
+// spawned next get the IDs and event numbers they would get on src.
+// Both engines must be between runs.
+func (e *engine) copyFrom(src *engine) {
+	if e.parked.len() != 0 || src.parked.len() != 0 {
+		panic("sim: engine copy with live workers")
+	}
+	e.nextID = src.nextID
+	e.eventNo = src.eventNo
+	e.next = nil
+}
+
 // register parks a new worker at its launch clock with no pending
 // request and hands its body to a coroutine, which first runs it when
 // runAll resumes the worker.

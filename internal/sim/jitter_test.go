@@ -145,7 +145,7 @@ func TestSpawnCoversContentionLevels(t *testing.T) {
 		pa := arch.MakePA(0, 0x40000)
 		maxOthers := 0
 		for i := 0; i < n; i++ {
-			_, err := m.Spawn(0, fmt.Sprintf("w%d", i), 0, func(w *Worker) {
+			_, err := m.Spawn(0, NoOwner, fmt.Sprintf("w%d", i), 0, func(w *Worker) {
 				for j := 0; j < 8; j++ {
 					w.TouchCG(pa)
 					maxOthers = max(maxOthers, m.lastTouch[0].others)

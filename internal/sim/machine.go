@@ -350,7 +350,8 @@ type Worker struct {
 	m       *Machine
 	co      *coro // runs the body; nil once it has returned
 	id      int
-	name    string
+	name    string         // the kernel name, as the launcher gave it
+	owner   arch.ProcessID // the launching process, or NoOwner
 	dev     arch.DeviceID
 	clock   arch.Cycles
 	done    bool // the body returned
@@ -365,11 +366,17 @@ type Worker struct {
 	bursts []homeBurst
 }
 
+// NoOwner is the owner of a worker spawned directly on the machine
+// rather than launched by a process.
+const NoOwner arch.ProcessID = -1
+
 // Spawn creates a worker (one simulated thread block) on dev running
-// body. sharedMemBytes participates in SM occupancy; pass 0 when the
-// kernel does not use shared memory for anything the scheduler should
-// know about.
-func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body func(*Worker)) (*Worker, error) {
+// body, for kernel name launched by process owner (or NoOwner).
+// sharedMemBytes participates in SM occupancy; pass 0 when the kernel
+// does not use shared memory for anything the scheduler should know
+// about. The worker keeps name and owner apart, and a fault message
+// joins them as "pid<owner>/<name>", so a launch formats nothing.
+func (m *Machine) Spawn(dev arch.DeviceID, owner arch.ProcessID, name string, sharedMemBytes int, body func(*Worker)) (*Worker, error) {
 	if int(dev) >= len(m.devices) {
 		return nil, fmt.Errorf("sim: no such device %d", int(dev))
 	}
@@ -377,7 +384,7 @@ func (m *Machine) Spawn(dev arch.DeviceID, name string, sharedMemBytes int, body
 	if err != nil {
 		return nil, err
 	}
-	w := &Worker{m: m, eng: m.eng, dev: dev, name: name, res: res}
+	w := &Worker{m: m, eng: m.eng, dev: dev, name: name, owner: owner, res: res}
 	m.eng.register(w, func() {
 		defer w.res.Release()
 		body(w)
@@ -405,8 +412,14 @@ func (m *Machine) Run() {
 
 // --- Worker-facing operations (called from kernel coroutines) ---
 
-// Name returns the worker's debug name.
-func (w *Worker) Name() string { return w.name }
+// label is the worker's name for fault messages: the kernel name,
+// prefixed with its owner's PID when a process launched it.
+func (w *Worker) label() string {
+	if w.owner == NoOwner {
+		return w.name
+	}
+	return fmt.Sprintf("pid%d/%s", w.owner, w.name)
+}
 
 // Device returns the GPU the worker runs on.
 func (w *Worker) Device() arch.DeviceID { return w.dev }
@@ -634,7 +647,7 @@ func (m *Machine) accessLine(w *Worker, pa arch.PA) (arch.Cycles, bool) {
 	remote := home != w.dev
 	if remote && !m.PeerEnabled(w.dev, home) {
 		panic(fmt.Sprintf("sim: worker %q on %v accessed %v memory without peer access",
-			w.name, w.dev, home))
+			w.label(), w.dev, home))
 	}
 	hit, _ := m.devices[home].L2().Access(pa &^ arch.PA(m.lineSize-1))
 	lat := m.lat.L2Hit

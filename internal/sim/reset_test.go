@@ -18,7 +18,7 @@ func resetWorkload(t *testing.T, m *Machine) []arch.Cycles {
 	if err := m.EnablePeer(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.Spawn(0, "local", 0, func(w *Worker) {
+	_, err := m.Spawn(0, NoOwner, "local", 0, func(w *Worker) {
 		for i := 0; i < 40; i++ {
 			local = append(local, w.TouchCG(arch.MakePA(0, uint64(0x10000+i*256))))
 		}
@@ -35,7 +35,7 @@ func resetWorkload(t *testing.T, m *Machine) []arch.Cycles {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Spawn(1, "remote", 0, func(w *Worker) {
+	_, err = m.Spawn(1, NoOwner, "remote", 0, func(w *Worker) {
 		// Remote touches of device 0's memory: cached in the home L2,
 		// traversing the fabric, contending with the local worker.
 		for i := 0; i < 40; i++ {

@@ -57,7 +57,7 @@ func engineOrder(t *testing.T, m *Machine, scripts [][]int) []event {
 	var order []event
 	for _, script := range scripts {
 		script := script
-		if _, err := m.Spawn(0, "script", 0, func(w *Worker) {
+		if _, err := m.Spawn(0, NoOwner, "script", 0, func(w *Worker) {
 			order = append(order, event{w.id, w.Now()})
 			for _, n := range script {
 				w.Busy(n)

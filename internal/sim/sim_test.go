@@ -18,7 +18,7 @@ func TestLocalHitMissLatencies(t *testing.T) {
 	m := quiet(1)
 	pa := arch.MakePA(0, 0x10000)
 	var first, second arch.Cycles
-	_, err := m.Spawn(0, "probe", 0, func(w *Worker) {
+	_, err := m.Spawn(0, NoOwner, "probe", 0, func(w *Worker) {
 		first = w.TouchCG(pa)
 		second = w.TouchCG(pa)
 	})
@@ -43,7 +43,7 @@ func TestRemoteHitMissLatenciesAndHomeCaching(t *testing.T) {
 	}
 	pa := arch.MakePA(0, 0x20000) // homed on GPU0
 	var first, second arch.Cycles
-	_, err := m.Spawn(1, "remote", 0, func(w *Worker) {
+	_, err := m.Spawn(1, NoOwner, "remote", 0, func(w *Worker) {
 		first = w.TouchCG(pa)
 		second = w.TouchCG(pa)
 	})
@@ -73,11 +73,11 @@ func TestRemoteWarmsLocalObserver(t *testing.T) {
 	pa := arch.MakePA(0, 0x30000)
 	var remoteDone bool
 	var localLat arch.Cycles
-	m.Spawn(1, "warm", 0, func(w *Worker) {
+	m.Spawn(1, NoOwner, "warm", 0, func(w *Worker) {
 		w.TouchCG(pa)
 		remoteDone = true
 	})
-	m.Spawn(0, "observe", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "observe", 0, func(w *Worker) {
 		for !remoteDone {
 			w.Busy(1000)
 			w.Yield()
@@ -98,7 +98,7 @@ func TestPeerAccessRequired(t *testing.T) {
 			t.Error("remote access without peer enablement should panic (device fault)")
 		}
 	}()
-	m.Spawn(1, "illegal", 0, func(w *Worker) {
+	m.Spawn(1, NoOwner, "illegal", 0, func(w *Worker) {
 		w.TouchCG(pa)
 	})
 	m.Run()
@@ -112,7 +112,7 @@ func TestKernelPanicSurfacesFromRun(t *testing.T) {
 	fault := errors.New("kernel fault")
 	for i := 0; i < 4; i++ {
 		i := i
-		m.Spawn(0, "kernel", 0, func(w *Worker) {
+		m.Spawn(0, NoOwner, "kernel", 0, func(w *Worker) {
 			for j := 0; j < 10; j++ {
 				w.TouchCG(arch.MakePA(0, uint64(0x10000*(i+1)+j*arch.CacheLineSize)))
 				if i == 2 && j == 5 {
@@ -151,7 +151,7 @@ func TestKernelPanicCleansUp(t *testing.T) {
 	fault := errors.New("kernel fault")
 	for i := 0; i < 4; i++ {
 		i := i
-		if _, err := m.Spawn(0, "kernel", 0, func(w *Worker) {
+		if _, err := m.Spawn(0, NoOwner, "kernel", 0, func(w *Worker) {
 			for j := 0; j < 10; j++ {
 				w.TouchCG(arch.MakePA(0, uint64(0x10000*(i+1)+j*arch.CacheLineSize)))
 				if i == 2 && j == 5 {
@@ -217,7 +217,7 @@ func TestDeterministicConcurrentRuns(t *testing.T) {
 		var trace []arch.Cycles
 		for wi := 0; wi < 2; wi++ {
 			dev := arch.DeviceID(wi)
-			m.Spawn(dev, "w", 0, func(w *Worker) {
+			m.Spawn(dev, NoOwner, "w", 0, func(w *Worker) {
 				for i := 0; i < 50; i++ {
 					pa := arch.MakePA(0, uint64(0x40000+i*arch.CacheLineSize))
 					lat := w.TouchCG(pa)
@@ -242,7 +242,7 @@ func TestDeterministicConcurrentRuns(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	m := quiet(6)
 	var c0, c1, c2 arch.Cycles
-	m.Spawn(0, "clock", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "clock", 0, func(w *Worker) {
 		c0 = w.Clock()
 		w.Busy(100)
 		c1 = w.Clock()
@@ -275,7 +275,7 @@ func TestProbeLinesAggregateAndPerLine(t *testing.T) {
 		}
 		return in
 	}
-	m.Spawn(0, "probe", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "probe", 0, func(w *Worker) {
 		coldCached = cached()
 		cold, coldTotal = w.ProbeLines(nil, pas)
 		warmCached = cached()
@@ -316,7 +316,7 @@ func TestStreamRange(t *testing.T) {
 	m := quiet(8)
 	base := arch.MakePA(0, 0x100000)
 	var misses1, misses2 int
-	m.Spawn(0, "stream", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "stream", 0, func(w *Worker) {
 		misses1, _ = w.StreamRange(base, 64, arch.CacheLineSize)
 		misses2, _ = w.StreamRange(base, 64, arch.CacheLineSize)
 	})
@@ -334,19 +334,19 @@ func TestSpawnOccupancyIntegration(t *testing.T) {
 	// Fill GPU0's shared memory, then a shared-memory-needing spawn
 	// must fail while a zero-shared-mem one succeeds.
 	for i := 0; i < 2*arch.NumSMs; i++ {
-		if _, err := m.Spawn(0, "blocker", arch.MaxSharedMemPerBlock, func(w *Worker) {}); err != nil {
+		if _, err := m.Spawn(0, NoOwner, "blocker", arch.MaxSharedMemPerBlock, func(w *Worker) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Spawn(0, "noise", 1024, func(w *Worker) {}); err == nil {
+	if _, err := m.Spawn(0, NoOwner, "noise", 1024, func(w *Worker) {}); err == nil {
 		t.Fatal("spawn should fail on saturated GPU")
 	}
-	if _, err := m.Spawn(0, "free", 0, func(w *Worker) {}); err != nil {
+	if _, err := m.Spawn(0, NoOwner, "free", 0, func(w *Worker) {}); err != nil {
 		t.Fatal(err)
 	}
 	m.Run()
 	// After Run, reservations are released.
-	if _, err := m.Spawn(0, "after", 1024, func(w *Worker) {}); err != nil {
+	if _, err := m.Spawn(0, NoOwner, "after", 1024, func(w *Worker) {}); err != nil {
 		t.Fatalf("post-run spawn failed: %v", err)
 	}
 	m.Run()
@@ -354,7 +354,7 @@ func TestSpawnOccupancyIntegration(t *testing.T) {
 
 func TestSpawnBadDevice(t *testing.T) {
 	m := quiet(10)
-	if _, err := m.Spawn(arch.DeviceID(99), "x", 0, func(w *Worker) {}); err == nil {
+	if _, err := m.Spawn(arch.DeviceID(99), NoOwner, "x", 0, func(w *Worker) {}); err == nil {
 		t.Fatal("spawn on missing device should fail")
 	}
 }
@@ -369,14 +369,14 @@ func TestContentionRaisesJitter(t *testing.T) {
 		stop := false
 		for i := 0; i < nNoisy; i++ {
 			off := uint64(0x400000 + i*0x10000)
-			m.Spawn(0, "noisy", 0, func(w *Worker) {
+			m.Spawn(0, NoOwner, "noisy", 0, func(w *Worker) {
 				for !stop {
 					w.TouchCG(arch.MakePA(0, off))
 					w.Busy(10)
 				}
 			})
 		}
-		m.Spawn(0, "meter", 0, func(w *Worker) {
+		m.Spawn(0, NoOwner, "meter", 0, func(w *Worker) {
 			pa := arch.MakePA(0, 0x500000)
 			w.TouchCG(pa)
 			for i := 0; i < 300; i++ {
@@ -403,7 +403,7 @@ func TestContentionRaisesJitter(t *testing.T) {
 func TestNVLinkTrafficAccounted(t *testing.T) {
 	m := quiet(12)
 	m.EnablePeer(1, 0)
-	m.Spawn(1, "traffic", 0, func(w *Worker) {
+	m.Spawn(1, NoOwner, "traffic", 0, func(w *Worker) {
 		for i := 0; i < 20; i++ {
 			w.TouchCG(arch.MakePA(0, uint64(i*arch.CacheLineSize)))
 		}
@@ -428,13 +428,13 @@ func TestYieldInterleavesEqualClocks(t *testing.T) {
 	// deterministically, and Yield must not deadlock.
 	m := quiet(14)
 	var order []string
-	m.Spawn(0, "a", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "a", 0, func(w *Worker) {
 		for i := 0; i < 3; i++ {
 			order = append(order, "a")
 			w.Yield()
 		}
 	})
-	m.Spawn(0, "b", 0, func(w *Worker) {
+	m.Spawn(0, NoOwner, "b", 0, func(w *Worker) {
 		for i := 0; i < 3; i++ {
 			order = append(order, "b")
 			w.Yield()
@@ -508,7 +508,7 @@ func TestMachineFromProfile(t *testing.T) {
 				t.Fatalf("peer %v->0: %v", last, err)
 			}
 			var missLat, hitLat, remoteHit arch.Cycles
-			w, err := m.Spawn(0, "local", 0, func(w *Worker) {
+			w, err := m.Spawn(0, NoOwner, "local", 0, func(w *Worker) {
 				missLat = w.TouchCG(arch.MakePA(0, 0x10000))
 				hitLat = w.TouchCG(arch.MakePA(0, 0x10000))
 			})
@@ -523,7 +523,7 @@ func TestMachineFromProfile(t *testing.T) {
 			if missLat < prof.Lat.L2Hit+prof.Lat.HBM/2 {
 				t.Errorf("local miss = %v, implausibly cheap", missLat)
 			}
-			_, err = m.Spawn(last, "remote", 0, func(w *Worker) {
+			_, err = m.Spawn(last, NoOwner, "remote", 0, func(w *Worker) {
 				remoteHit = w.TouchCG(arch.MakePA(0, 0x10000))
 			})
 			if err != nil {

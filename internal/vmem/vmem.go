@@ -16,6 +16,7 @@ package vmem
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"spybox/internal/arch"
 	"spybox/internal/xrand"
@@ -120,6 +121,34 @@ func (p *PhysMem) Reset() {
 	}
 }
 
+// CopyFrom makes p an exact copy of src, a physical memory of the same
+// box: the same frames in use and the same page contents. Like Reset,
+// it recycles p's own page buffers, so it allocates only for pages src
+// holds beyond the ones p had; and p never shares a buffer with src.
+func (p *PhysMem) CopyFrom(src *PhysMem) {
+	if len(p.used) != len(src.used) {
+		panic("vmem: CopyFrom across box sizes")
+	}
+	p.Reset()
+	for i, taken := range src.used {
+		maps.Copy(p.used[i], taken)
+	}
+	// Every buffer is overwritten whole, so which recycled buffer backs
+	// which frame cannot leak into the copy.
+	//spylint:allow detrand buffer-to-frame assignment is unobservable, every page is copied in full
+	for fn, b := range src.backing {
+		var page []byte
+		if n := len(p.free); n > 0 {
+			page = p.free[n-1]
+			p.free = p.free[:n-1]
+		} else {
+			page = make([]byte, arch.PageSize)
+		}
+		copy(page, b)
+		p.backing[fn] = page
+	}
+}
+
 // ReadU64 reads the 8-byte word at pa.
 func (p *PhysMem) ReadU64(pa arch.PA) uint64 {
 	off := uint64(pa) % arch.PageSize
@@ -188,6 +217,21 @@ func NewSpaceFiltered(pid arch.ProcessID, phys *PhysMem, rng *xrand.Source, allo
 		table: make([]arch.PA, 1),
 		brk:   arch.VA(arch.PageSize), // keep VA 0 unmapped
 	}
+}
+
+// Clone returns a copy of s over phys, a copy of s's physical memory
+// (see PhysMem.CopyFrom): the same page table, allocations and
+// placement RNG state, so the clone translates every address to the
+// same frame and places its next frames where s would. allow is the
+// clone's frame placement policy. The clone shares nothing mutable
+// with s.
+func (s *Space) Clone(phys *PhysMem, allow func(uint64) bool) *Space {
+	c := *s
+	rng := *s.rng
+	c.phys, c.rng, c.allow = phys, &rng, allow
+	c.table = append([]arch.PA(nil), s.table...)
+	c.allocs = append([]Alloc(nil), s.allocs...)
+	return &c
 }
 
 // PID returns the owning process ID.

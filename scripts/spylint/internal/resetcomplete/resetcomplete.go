@@ -16,9 +16,15 @@
 //
 // Adding a struct field without extending Reset then fails the lint
 // instead of becoming a pooling heisenbug.
+//
+// Checkpoint/restore is held to the same rule: a type with a
+// pointer-receiver copyFrom, CopyFrom or Restore method must touch
+// every field there too, under the same exemptions. A field the copy
+// misses would keep the restored object's own stale value.
 package resetcomplete
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -28,13 +34,26 @@ import (
 
 var Analyzer = &framework.Analyzer{
 	Name: "resetcomplete",
-	Doc:  "every struct field of a type with a Reset/Reseed method must be reset or explicitly exempted",
+	Doc:  "every struct field of a type with a Reset/Reseed (or copyFrom/CopyFrom/Restore) method must be covered by it or explicitly exempted",
 	Run:  run,
 }
 
-// resetNames are the method names that identify a resettable type, in
-// preference order (a type with both is judged by Reset alone).
-var resetNames = []string{"Reset", "Reseed"}
+// check is one completeness rule: the method names that make a type
+// subject to it, in preference order (a type with several is judged by
+// the first alone), and how a missed field is reported.
+type check struct {
+	names []string
+	// verb and effect fill "field T.f is not <verb> by M; <effect>";
+	// effect's %s is the type name.
+	verb, effect string
+}
+
+var checks = []check{
+	{names: []string{"Reset", "Reseed"}, verb: "reset",
+		effect: "a pooled %s would leak it across trials — reset it"},
+	{names: []string{"copyFrom", "CopyFrom", "Restore"}, verb: "copied",
+		effect: "a restored %s would keep its own stale value — copy it"},
+}
 
 func run(pass *framework.Pass) {
 	// Index every method declared on a named type in this package.
@@ -60,42 +79,49 @@ func run(pass *framework.Pass) {
 	}
 
 	for tname, ms := range methods {
-		var reset *ast.FuncDecl
-		for _, rn := range resetNames {
-			if ms[rn] != nil {
-				reset = ms[rn]
-				break
-			}
+		for _, ck := range checks {
+			checkType(pass, tname, ms, ck)
 		}
-		if reset == nil || reset.Body == nil {
+	}
+}
+
+// checkType applies one rule to the named type with methods ms.
+func checkType(pass *framework.Pass, tname string, ms map[string]*ast.FuncDecl, ck check) {
+	var fn *ast.FuncDecl
+	for _, name := range ck.names {
+		if ms[name] != nil {
+			fn = ms[name]
+			break
+		}
+	}
+	if fn == nil || fn.Body == nil {
+		return
+	}
+	// Only pointer receivers can mutate anything.
+	if _, ok := fn.Recv.List[0].Type.(*ast.StarExpr); !ok {
+		return
+	}
+	obj, ok := pass.Pkg.Scope().Lookup(tname).(*types.TypeName)
+	if !ok {
+		return
+	}
+	st, ok := obj.Type().Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	c := &coverage{pass: pass, methods: ms, covered: map[string]bool{}, visited: map[*ast.FuncDecl]bool{}}
+	c.walkMethod(fn)
+	if c.all {
+		return
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Name() == "_" || c.covered[f.Name()] {
 			continue
 		}
-		// Only pointer receivers can reset anything.
-		if _, ok := reset.Recv.List[0].Type.(*ast.StarExpr); !ok {
-			continue
-		}
-		obj, ok := pass.Pkg.Scope().Lookup(tname).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := obj.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		c := &coverage{pass: pass, methods: ms, covered: map[string]bool{}, visited: map[*ast.FuncDecl]bool{}}
-		c.walkMethod(reset)
-		if c.all {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if f.Name() == "_" || c.covered[f.Name()] {
-				continue
-			}
-			pass.Reportf(f.Pos(),
-				"field %s.%s is not reset by %s; a pooled %s would leak it across trials — reset it or exempt it with //spylint:allow resetcomplete <reason>",
-				tname, f.Name(), reset.Name.Name, tname)
-		}
+		pass.Reportf(f.Pos(),
+			"field %s.%s is not %s by %s; %s or exempt it with //spylint:allow resetcomplete <reason>",
+			tname, f.Name(), ck.verb, fn.Name.Name, fmt.Sprintf(ck.effect, tname))
 	}
 }
 

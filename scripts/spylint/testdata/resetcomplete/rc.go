@@ -96,3 +96,52 @@ type Addressed struct {
 func (a *Addressed) Reset() { fill(&a.buf) }
 
 func fill(b *[4]byte) { *b = [4]byte{} }
+
+// Snap's Reset is complete, but its copyFrom forgets a field: a
+// restored Snap would keep its own stale count.
+type Snap struct {
+	a     int
+	count int // want `field Snap\.count is not copied by copyFrom`
+	//spylint:allow resetcomplete fixed at construction
+	cfg int
+}
+
+func (s *Snap) Reset() {
+	s.a = 0
+	s.count = 0
+}
+
+func (s *Snap) copyFrom(src *Snap) { s.a = src.a }
+
+// Restored is judged by Restore, which delegates to a helper on the
+// same receiver; the analyzer follows the call.
+type Restored struct {
+	rows []int
+	seen map[int]bool
+	last int // want `field Restored\.last is not copied by Restore`
+}
+
+func (r *Restored) Restore(src *Restored) {
+	r.rows = append(r.rows[:0], src.rows...)
+	r.copySeen(src)
+}
+
+func (r *Restored) copySeen(src *Restored) {
+	clear(r.seen)
+	for k := range src.seen {
+		r.seen[k] = true
+	}
+}
+
+// Copied copies every field, one through a method on the field.
+type Copied struct {
+	n   int
+	kid *Kid
+}
+
+func (c *Copied) CopyFrom(src *Copied) {
+	c.n = src.n
+	c.kid.CopyFrom(src.kid)
+}
+
+func (k *Kid) CopyFrom(src *Kid) { k.n = src.n }
