@@ -256,10 +256,11 @@ func BenchmarkAblationContentionNoise(b *testing.B) {
 	for _, sigma := range []float64{7, 28, 112, 448} {
 		b.Run(fmt.Sprintf("sigma%.0f", sigma), func(b *testing.B) {
 			var errSum float64
+			prof := arch.P100DGX1()
+			prof.Lat.ContentionSigmaPer = sigma
 			for i := 0; i < b.N; i++ {
 				m := sim.MustNewMachine(sim.Options{
-					Seed: 0xc0 + uint64(i), CacheCfg: tinyCfg(l2cache.LRU, true),
-					ContentionSigmaPer: sigma,
+					Seed: 0xc0 + uint64(i), Profile: &prof, CacheCfg: tinyCfg(l2cache.LRU, true),
 				})
 				thr := core.DefaultThresholds()
 				trojan, _ := core.NewAttacker(m, 0, 0, 24, thr, 1)

@@ -64,7 +64,7 @@ func main() {
 	fmt.Printf("spy received: %q\n", string(spybox.BitsToBytes(tx.ReceivedBits)))
 	fmt.Printf("bit errors:   %d/%d (%.2f%%)\n", tx.BitErrors, len(tx.SentBits), 100*tx.ErrorRate())
 	fmt.Printf("bandwidth:    %.4f MB/s over %d sets (%.2f ms of GPU time)\n",
-		tx.BandwidthMBps(), *numSets, 1000*tx.Duration.Seconds())
+		tx.BandwidthMBps(), *numSets, 1000*m.Profile().Seconds(tx.Duration))
 
 	fmt.Println("\nfirst probe samples (spy's view; ~630cy = '0', ~950cy = '1'):")
 	for i, pt := range tx.Trace {

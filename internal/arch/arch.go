@@ -75,8 +75,8 @@ const (
 	// frame bookkeeping cheap.
 	HBMBytesPerGPU = 1 << 30
 
-	// ClockHz is the P100 boost clock used to convert cycles to
-	// seconds when reporting bandwidth.
+	// ClockHz is the P100 boost clock, the p100-dgx1 profile's
+	// cycles-to-seconds rate (see Profile.Seconds).
 	ClockHz = 1_480_000_000
 )
 
@@ -181,11 +181,6 @@ func (va VA) PageOffset() uint64 { return uint64(va) % PageSize }
 
 // FrameNumber returns the physical frame number (machine-wide).
 func (pa PA) FrameNumber() uint64 { return uint64(pa) / PageSize }
-
-// Seconds converts a cycle count to wall-clock seconds at the P100
-// boost clock. Profile-aware code should use Profile.Seconds, which
-// applies the profile's own clock.
-func (c Cycles) Seconds() float64 { return float64(c) / ClockHz }
 
 // String renders cycles with a unit suffix for logs.
 func (c Cycles) String() string { return fmt.Sprintf("%dcy", uint64(c)) }

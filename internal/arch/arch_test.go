@@ -73,12 +73,6 @@ func TestGeometryConstantsConsistent(t *testing.T) {
 	}
 }
 
-func TestSeconds(t *testing.T) {
-	if got := Cycles(ClockHz).Seconds(); got != 1.0 {
-		t.Errorf("1s of cycles = %v s", got)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if DeviceID(3).String() != "GPU3" {
 		t.Error("DeviceID stringer")

@@ -51,7 +51,7 @@ type Transmission struct {
 	// which reproduces Fig. 10's waveform.
 	Trace []TracePoint
 	// ClockHz converts Duration to seconds; filled from the machine's
-	// profile by Transmit (0 falls back to the P100 clock).
+	// profile by Transmit.
 	ClockHz uint64
 }
 
@@ -75,12 +75,8 @@ func (tx *Transmission) BandwidthMBps() float64 {
 	if tx.Duration == 0 {
 		return 0
 	}
-	hz := tx.ClockHz
-	if hz == 0 {
-		hz = arch.ClockHz
-	}
 	bytes := float64(len(tx.SentBits)) / 8
-	return bytes / 1e6 / (float64(tx.Duration) / float64(hz))
+	return bytes / 1e6 / (float64(tx.Duration) / float64(tx.ClockHz))
 }
 
 // Channel is an established covert channel: aligned set pairs plus

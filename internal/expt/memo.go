@@ -14,7 +14,6 @@ package expt
 import (
 	"sync"
 
-	"spybox/internal/arch"
 	"spybox/internal/core"
 	"spybox/internal/sim"
 )
@@ -63,9 +62,9 @@ func newSetupMemo(seed uint64) *setupMemo {
 
 // setup returns the attack pair for p's seed on a machine of the
 // trial's own and, for numSets > 0, its first numSets aligned set
-// pairs. The caller owns everything returned: a memoized setup comes
-// back rebound to a restored machine, with fresh copies of every set
-// slice.
+// pairs. The caller owns the machine and the attackers: a memoized
+// setup comes back rebound to a restored machine. The eviction sets and
+// aligned pairs are shared with the memo and are only read.
 func (p Params) setup(numSets int) (*attackPair, []core.AlignedPair, error) {
 	key := setupKey{opts: sim.Options{Seed: p.Seed}, arch: p.Arch, scale: p.Scale, numSets: numSets}
 	s := p.memo
@@ -93,7 +92,7 @@ func (p Params) setup(numSets int) (*attackPair, []core.AlignedPair, error) {
 		}
 		e.cp = pair.m.Checkpoint()
 		e.pair = pair.rebind(e.cp)
-		e.pairs = clonePairs(pairs)
+		e.pairs = pairs
 	})
 	switch {
 	case built:
@@ -103,7 +102,7 @@ func (p Params) setup(numSets int) (*attackPair, []core.AlignedPair, error) {
 	}
 	m := machineFor(p, key.opts)
 	m.Restore(e.cp)
-	return e.pair.rebind(m), clonePairs(e.pairs), nil
+	return e.pair.rebind(m), e.pairs, nil
 }
 
 // buildSetup runs the setup from scratch on a machine from the trial's
@@ -122,36 +121,15 @@ func buildSetup(p Params, key setupKey) (*attackPair, []core.AlignedPair, error)
 
 // rebind returns a copy of the pair on m, a machine restored from a
 // checkpoint of the pair's machine: both attackers rebound, both set
-// lists copied.
+// lists shared. Nothing writes an eviction set after discovery (probes
+// and alignment only read its lines), so every trial may read the
+// memo's sets at once.
 func (a *attackPair) rebind(m *sim.Machine) *attackPair {
 	return &attackPair{
 		m:          m,
 		trojan:     a.trojan.Rebind(m),
 		spy:        a.spy.Rebind(m),
-		trojanSets: cloneSets(a.trojanSets),
-		spySets:    cloneSets(a.spySets),
+		trojanSets: a.trojanSets,
+		spySets:    a.spySets,
 	}
-}
-
-// cloneSets deep-copies eviction sets.
-func cloneSets(sets []core.EvictionSet) []core.EvictionSet {
-	out := make([]core.EvictionSet, len(sets))
-	for i, s := range sets {
-		out[i] = cloneSet(s)
-	}
-	return out
-}
-
-func cloneSet(s core.EvictionSet) core.EvictionSet {
-	s.Lines = append([]arch.VA(nil), s.Lines...)
-	return s
-}
-
-// clonePairs deep-copies aligned set pairs.
-func clonePairs(pairs []core.AlignedPair) []core.AlignedPair {
-	out := make([]core.AlignedPair, len(pairs))
-	for i, ap := range pairs {
-		out[i] = core.AlignedPair{TE: cloneSet(ap.TE), SE: cloneSet(ap.SE)}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"spybox/internal/core"
@@ -11,6 +12,7 @@ import (
 // TestSetupMemoSharesOneSetup: condition trials on the run seed share
 // one setup, yet each gets its own machine and attackers, and each
 // transmits exactly as on a setup rebuilt from scratch (the memo off).
+// The eviction sets are shared read-only and equal the rebuilt ones.
 // Parallel trials restore concurrently, which the race detector checks
 // even under -short.
 //
@@ -50,12 +52,12 @@ func TestSetupMemoSharesOneSetup(t *testing.T) {
 		if got[i].tx != want[i].tx {
 			t.Errorf("trial %d: memoized setup transmits %s, rebuilt setup %s", i, got[i].tx, want[i].tx)
 		}
+		if !reflect.DeepEqual(got[i].sets, want[i].sets) {
+			t.Errorf("trial %d: memoized eviction sets differ from rebuilt ones", i)
+		}
 		for j := range got[:i] {
 			if got[i].m == got[j].m || got[i].trojan == got[j].trojan || got[i].trojan.Proc == got[j].trojan.Proc {
 				t.Errorf("trials %d and %d share a machine or an attacker", j, i)
-			}
-			if &got[i].sets[0] == &got[j].sets[0] || &got[i].sets[0].Lines[0] == &got[j].sets[0].Lines[0] {
-				t.Errorf("trials %d and %d share eviction-set storage", j, i)
 			}
 		}
 	}

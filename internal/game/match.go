@@ -263,9 +263,5 @@ func goodputMBps(okBytes int, raw *core.Transmission) float64 {
 	if raw.Duration == 0 {
 		return 0
 	}
-	hz := raw.ClockHz
-	if hz == 0 {
-		hz = arch.ClockHz
-	}
-	return float64(okBytes) / 1e6 / (float64(raw.Duration) / float64(hz))
+	return float64(okBytes) / 1e6 / (float64(raw.Duration) / float64(raw.ClockHz))
 }

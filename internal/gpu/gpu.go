@@ -61,6 +61,8 @@ func (c Config) Validate() error {
 			c.SharedMemPerSM, c.MaxSharedMemPerBlock)
 	case c.MaxBlocksPerSM < 1:
 		return fmt.Errorf("gpu: MaxBlocksPerSM must be positive, got %d", c.MaxBlocksPerSM)
+	case c.HBMLat == 0:
+		return fmt.Errorf("gpu: HBMLat must be positive, got %d", c.HBMLat)
 	}
 	return nil
 }
@@ -126,9 +128,7 @@ func New(id arch.DeviceID, cfg Config, rng *xrand.Source) (*Device, error) {
 		mem: hbm.NewSized(id, cfg.Cache.LineSize, cfg.HBMLat),
 		sms: make([]SM, cfg.NumSMs),
 	}
-	for i := range d.sms {
-		d.sms[i] = SM{SharedFree: cfg.SharedMemPerSM, BlockSlots: cfg.MaxBlocksPerSM}
-	}
+	d.freeSMs()
 	return d, nil
 }
 
@@ -140,6 +140,11 @@ func New(id arch.DeviceID, cfg Config, rng *xrand.Source) (*Device, error) {
 func (d *Device) Reset(parent *xrand.Source) {
 	d.l2.Reset(parent)
 	d.mem.Reset()
+	d.freeSMs()
+}
+
+// freeSMs empties every SM and rewinds the placement cursor.
+func (d *Device) freeSMs() {
 	for i := range d.sms {
 		d.sms[i] = SM{SharedFree: d.cfg.SharedMemPerSM, BlockSlots: d.cfg.MaxBlocksPerSM}
 	}

@@ -122,3 +122,27 @@ func TestSMStateCopy(t *testing.T) {
 		t.Error("SMState returned shared slice")
 	}
 }
+
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	bad := func(mut func(*Config)) Config {
+		c := DefaultConfig()
+		mut(&c)
+		return c
+	}
+	for name, c := range map[string]Config{
+		"no SMs":         bad(func(c *Config) { c.NumSMs = 0 }),
+		"block over SM":  bad(func(c *Config) { c.MaxSharedMemPerBlock = c.SharedMemPerSM + 1 }),
+		"no block slots": bad(func(c *Config) { c.MaxBlocksPerSM = 0 }),
+		"no HBM latency": bad(func(c *Config) { c.HBMLat = 0 }),
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+		if _, err := New(0, c, nil); err == nil {
+			t.Errorf("%s: New accepted the config", name)
+		}
+	}
+}

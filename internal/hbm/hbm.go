@@ -33,24 +33,12 @@ type Stack struct {
 	bytesRead uint64
 }
 
-// New returns the HBM stack for device dev with the P100 fill size and
-// service latency.
-func New(dev arch.DeviceID) *Stack {
-	return NewSized(dev, arch.CacheLineSize, arch.LatHBM)
-}
-
 // NewSized returns the HBM stack for device dev serving L2 fills of
 // lineSize bytes with the given DRAM latency. The fill size must come
 // from the machine's cache geometry: traffic accounting (Sec. VII)
 // counts bytesRead per fill, which is wrong for any non-128 B profile
 // if the P100 constant is hard-coded.
 func NewSized(dev arch.DeviceID, lineSize int, lat arch.Cycles) *Stack {
-	if lineSize <= 0 {
-		lineSize = arch.CacheLineSize
-	}
-	if lat == 0 {
-		lat = arch.LatHBM
-	}
 	return &Stack{dev: dev, lineSize: uint64(lineSize), lat: lat}
 }
 

@@ -6,8 +6,13 @@ import (
 	"spybox/internal/arch"
 )
 
+// newP100 returns a stack with the P100's fill size and latency.
+func newP100(dev arch.DeviceID) *Stack {
+	return NewSized(dev, arch.CacheLineSize, arch.LatHBM)
+}
+
 func TestReadLineLatency(t *testing.T) {
-	s := New(0)
+	s := newP100(0)
 	// Cold access: full HBM latency.
 	if got := s.ReadLine(arch.PA(0)); got != arch.LatHBM {
 		t.Errorf("cold read latency = %v, want %v", got, arch.LatHBM)
@@ -23,7 +28,7 @@ func TestReadLineLatency(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	s := New(3)
+	s := newP100(3)
 	if s.Device() != 3 {
 		t.Errorf("Device = %v", s.Device())
 	}
@@ -57,11 +62,5 @@ func TestNewSizedUsesProfileLineSize(t *testing.T) {
 	}
 	if s.LineSize() != 256 {
 		t.Errorf("LineSize() = %d", s.LineSize())
-	}
-	// Zero values fall back to the P100 defaults.
-	d := NewSized(0, 0, 0)
-	d.ReadLine(0)
-	if _, _, bytes := d.Stats(); bytes != arch.CacheLineSize {
-		t.Errorf("default bytesRead = %d, want %d", bytes, arch.CacheLineSize)
 	}
 }

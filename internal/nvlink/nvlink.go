@@ -169,22 +169,6 @@ func (t *Topology) addLink(a, b arch.DeviceID) {
 	t.adj[b][a] = l
 }
 
-// Clone returns a deep copy of t: the same link graph, hop latency and
-// fabric, with every counter, port clock and runtime route copied (see
-// CopyFrom). The clone shares nothing mutable with t.
-func (t *Topology) Clone() *Topology {
-	c := newTopology(t.numGPUs)
-	c.hopLat = t.hopLat
-	for _, l := range t.links {
-		c.addLink(l.A, l.B)
-	}
-	if t.fab != nil {
-		c.attachFabric(t.fab.cfg)
-	}
-	c.CopyFrom(t)
-	return c
-}
-
 // CopyFrom copies src's link traffic counters and, on a switch fabric,
 // its plane counters, port clocks and counters, pins and throttles
 // onto t, which must have the same link graph and fabric. t keeps its

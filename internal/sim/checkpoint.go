@@ -23,15 +23,7 @@ package sim
 func (m *Machine) Checkpoint() *Machine {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
-	prof := m.prof
-	cp, err := NewMachine(Options{
-		Profile:            &prof,
-		CacheCfg:           m.devices[0].L2().Config(),
-		Topology:           m.topo.Clone(),
-		NoiseOff:           m.noiseOff,
-		ContentionSigmaPer: m.contSigmaPer,
-		MIGPartitions:      m.migPartitions,
-	})
+	cp, err := newMachine(m.cfg)
 	if err != nil {
 		panic(err) // m was built from this very configuration
 	}
@@ -40,22 +32,14 @@ func (m *Machine) Checkpoint() *Machine {
 }
 
 // Restore makes m's run-to-run state an exact copy of checkpoint cp,
-// which must come from a machine of the same configuration (the
-// options fingerprint a MachineSlot keys on). Like Reset it is only
-// legal between Runs, and it reuses m's existing allocations.
+// which must come from a machine of the same configuration (the value
+// a MachineSlot compares). Like Reset it is only legal between Runs,
+// and it reuses m's existing allocations.
 func (m *Machine) Restore(cp *Machine) {
-	if !m.sameConfig(cp) {
+	if m.cfg != cp.cfg {
 		panic("sim: Restore from a checkpoint of another machine configuration")
 	}
 	m.copyFrom(cp)
-}
-
-// sameConfig reports whether o was built from the same configuration
-// as m, up to the seed.
-func (m *Machine) sameConfig(o *Machine) bool {
-	return m.prof == o.prof && m.lineSize == o.lineSize && m.noiseOff == o.noiseOff &&
-		m.contSigmaPer == o.contSigmaPer && m.migPartitions == o.migPartitions &&
-		len(m.devices) == len(o.devices) && m.devices[0].L2().Config() == o.devices[0].L2().Config()
 }
 
 // copyFrom copies src's run-to-run state onto m, component by

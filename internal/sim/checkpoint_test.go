@@ -158,6 +158,8 @@ func TestMachineRestoreByteIdentical(t *testing.T) {
 		}
 		return &p
 	}
+	contended := profile("v100-dgx2")
+	contended.Lat.ContentionSigmaPer = 3.5
 	cases := []struct {
 		name string
 		opts Options
@@ -166,7 +168,7 @@ func TestMachineRestoreByteIdentical(t *testing.T) {
 		{"v100-dgx2", Options{Profile: profile("v100-dgx2")}},
 		{"a100-class", Options{Profile: profile("a100-class")}},
 		{"p100-mig", Options{Profile: profile("p100-dgx1"), MIGPartitions: 4}},
-		{"v100-contended", Options{Profile: profile("v100-dgx2"), ContentionSigmaPer: 3.5}},
+		{"v100-contended", Options{Profile: contended}},
 		{"p100-noiseoff", Options{Profile: profile("p100-dgx1"), NoiseOff: true}},
 	}
 	const seed = 0xc0ffee

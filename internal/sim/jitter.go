@@ -147,11 +147,12 @@ func jitterTableFor(sigma float64) jitterTable {
 // growJitterLevels makes m.jitterLevels cover contention levels 0 ..
 // maxOthers.
 func (m *Machine) growJitterLevels(maxOthers int) {
-	if m.noiseOff {
+	if m.cfg.noiseOff {
 		return
 	}
+	lat := &m.cfg.prof.Lat
 	for l := len(m.jitterLevels); l <= maxOthers; l++ {
-		sigma := m.lat.JitterSigma + m.contSigmaPer*float64(l)
+		sigma := lat.JitterSigma + lat.ContentionSigmaPer*float64(l)
 		m.jitterLevels = append(m.jitterLevels, jitterTableFor(sigma))
 	}
 }

@@ -23,16 +23,14 @@ type Options struct {
 	Seed uint64
 	// Profile selects the architecture (GPU count, L2 geometry, SM
 	// resources, latency model, topology family). nil means the
-	// paper's machine, arch.P100DGX1(). Explicit CacheCfg / Topology
-	// below override the corresponding profile-derived defaults.
-	Profile  *arch.Profile
+	// paper's machine, arch.P100DGX1().
+	Profile *arch.Profile
+	// CacheCfg overrides the profile's L2 geometry; the zero Config
+	// means l2cache.FromProfile of the profile.
 	CacheCfg l2cache.Config
-	Topology *nvlink.Topology
 	// NoiseOff disables all timing jitter; useful in unit tests that
 	// assert exact latencies.
 	NoiseOff bool
-	// ContentionSigmaPer overrides arch.ContentionSigmaPer when > 0.
-	ContentionSigmaPer float64
 	// MIGPartitions, when > 1, enables a MIG-style isolation defense
 	// (Sec. VII): the cache index hash is disabled and every process
 	// is confined to the frames of one of N disjoint cache-set
@@ -43,16 +41,48 @@ type Options struct {
 	MIGPartitions int
 }
 
+// config is everything that shapes a machine except its seed: the
+// options with every default resolved, so two spellings of one machine
+// (a nil Profile and the P100 profile itself, a zero CacheCfg and the
+// profile's own geometry, MIGPartitions 0 and 1) give equal values. It is comparable, and ==
+// on it is what decides whether a MachineSlot may lend a kept machine
+// and whether a checkpoint may be restored onto one.
+type config struct {
+	prof     arch.Profile
+	cache    l2cache.Config // after the MIG adjustment
+	noiseOff bool
+	mig      int // MIG partition count; 0 when partitioning is off
+}
+
+// config resolves o's defaults into the machine configuration.
+func (o Options) config() (config, error) {
+	c := config{prof: arch.P100DGX1(), cache: o.CacheCfg, noiseOff: o.NoiseOff}
+	if o.Profile != nil {
+		c.prof = *o.Profile
+	}
+	if err := c.prof.Validate(); err != nil {
+		return config{}, err
+	}
+	if c.cache == (l2cache.Config{}) {
+		c.cache = l2cache.FromProfile(c.prof)
+	}
+	if o.MIGPartitions > 1 {
+		c.mig = o.MIGPartitions
+		// Partitioned instances address dedicated L2 banks directly;
+		// the hash would smear partitions across each other.
+		c.cache.HashIndex = false
+	}
+	return c, nil
+}
+
 // Machine is the whole simulated multi-GPU box.
-//
-// Fields exempted from the resetcomplete check below are fixed by the
-// Config at construction and shared by every trial a reused machine
-// runs: a MachineSlot reuses a machine only for the same options
-// fingerprint, so Reset(seed) rewinds state derived from the seed and
-// leaves config-derived fields in place.
 type Machine struct {
-	//spylint:allow resetcomplete profile is part of the options fingerprint, identical across reuses
-	prof    arch.Profile
+	// cfg is fixed at construction and shared by every trial a reused
+	// machine runs: a MachineSlot reuses a machine only for an equal
+	// config, so Reset(seed) rewinds state derived from the seed and
+	// leaves cfg in place.
+	//spylint:allow resetcomplete the configuration is identical across reuses and restores
+	cfg     config
 	devices []*gpu.Device
 	topo    *nvlink.Topology
 	phys    *vmem.PhysMem
@@ -60,21 +90,6 @@ type Machine struct {
 	eng    *engine
 	jitter *xrand.Source
 	root   *xrand.Source
-
-	//spylint:allow resetcomplete latency model is config-derived, identical across reuses
-	lat arch.LatencyModel
-	// lineSize is the L2 line width in bytes, from the cache geometry.
-	//spylint:allow resetcomplete geometry is config-derived, identical across reuses
-	lineSize int
-	//spylint:allow resetcomplete noise switch is part of the options fingerprint
-	noiseOff bool
-	// hasFabric gates burst tallying off the p100 hot path.
-	//spylint:allow resetcomplete topology flag is config-derived, identical across reuses
-	hasFabric bool
-	//spylint:allow resetcomplete contention sigma is config-derived, identical across reuses
-	contSigmaPer float64
-	//spylint:allow resetcomplete MIG layout is part of the options fingerprint
-	migPartitions int
 
 	// peerEnabled[src][dst]: src may access memory homed on dst.
 	peerEnabled [][]bool
@@ -123,56 +138,43 @@ type touchRec struct {
 }
 
 // NewMachine builds a machine shaped by opts.Profile (the paper's
-// P100 DGX-1 when nil). Zero-value fields of opts get profile
-// defaults; an explicit CacheCfg or Topology overrides the profile's.
+// P100 DGX-1 when nil), seeded with opts.Seed.
 func NewMachine(opts Options) (*Machine, error) {
-	prof := arch.P100DGX1()
-	if opts.Profile != nil {
-		prof = *opts.Profile
-	}
-	if err := prof.Validate(); err != nil {
+	cfg, err := opts.config()
+	if err != nil {
 		return nil, err
 	}
-	if opts.CacheCfg == (l2cache.Config{}) {
-		opts.CacheCfg = l2cache.FromProfile(prof)
+	m, err := newMachine(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Topology == nil {
-		topo, err := nvlink.FromProfile(prof)
-		if err != nil {
-			return nil, err
-		}
-		opts.Topology = topo
+	m.Reset(opts.Seed)
+	return m, nil
+}
+
+// newMachine allocates a machine of configuration cfg. Its seeded
+// state is unset: NewMachine seeds it with Reset, Checkpoint copies it
+// from the source machine.
+func newMachine(cfg config) (*Machine, error) {
+	topo, err := nvlink.FromProfile(cfg.prof)
+	if err != nil {
+		return nil, err
 	}
-	if opts.MIGPartitions > 1 {
-		// Partitioned instances address dedicated L2 banks directly;
-		// the hash would smear partitions across each other.
-		opts.CacheCfg.HashIndex = false
-	}
-	n := opts.Topology.NumGPUs()
-	root := xrand.New(opts.Seed ^ 0x5b7a1e4c90d3f821)
+	n := topo.NumGPUs()
 	m := &Machine{
-		prof:          prof,
-		topo:          opts.Topology,
-		phys:          vmem.NewPhysMem(n),
-		eng:           &engine{},
-		root:          root,
-		jitter:        root.Split(),
-		lat:           prof.Lat,
-		lineSize:      opts.CacheCfg.LineSize,
-		noiseOff:      opts.NoiseOff,
-		hasFabric:     opts.Topology.HasFabric(),
-		contSigmaPer:  prof.Lat.ContentionSigmaPer,
-		migPartitions: opts.MIGPartitions,
+		cfg:         cfg,
+		topo:        topo,
+		phys:        vmem.NewPhysMem(n),
+		eng:         &engine{},
+		root:        new(xrand.Source),
+		jitter:      new(xrand.Source),
+		peerEnabled: make([][]bool, n),
+		lastTouch:   make([]touchLog, n),
 	}
-	if opts.ContentionSigmaPer > 0 {
-		m.contSigmaPer = opts.ContentionSigmaPer
-	}
-	devCfg := gpu.FromProfile(prof)
-	devCfg.Cache = opts.CacheCfg
-	m.peerEnabled = make([][]bool, n)
-	m.lastTouch = make([]touchLog, n)
+	devCfg := gpu.FromProfile(cfg.prof)
+	devCfg.Cache = cfg.cache
 	for i := 0; i < n; i++ {
-		d, err := gpu.New(arch.DeviceID(i), devCfg, root.Split())
+		d, err := gpu.New(arch.DeviceID(i), devCfg, new(xrand.Source))
 		if err != nil {
 			return nil, err
 		}
@@ -182,14 +184,16 @@ func NewMachine(opts Options) (*Machine, error) {
 	return m, nil
 }
 
-// Reset rewinds the machine to the state NewMachine would have built
-// it in with the given seed, reusing every existing allocation: RNG
-// streams are re-derived in construction order, caches flushed, HBM
-// row buffers closed, physical memory emptied (page buffers recycled),
-// fabric counters and port clocks cleared, peer access revoked, the
-// contention tracker drained, and the PID counter rewound. A reset
-// machine's runs are byte-identical to a fresh machine's — the golden
-// tests pin this — which is what makes machine reuse observably invisible.
+// Reset seeds the machine: it is the one derivation of seeded state,
+// so NewMachine ends in it and a reused machine calls it again, reusing
+// every existing allocation. The root stream is reseeded, the jitter
+// stream and then one L2 replacement stream per device are split from
+// it; caches are flushed, HBM row buffers closed, physical memory
+// emptied (page buffers recycled), fabric counters and port clocks
+// cleared, peer access revoked, the contention tracker drained, and
+// the PID counter rewound. A reset machine's runs are therefore
+// byte-identical to a fresh machine's, which is what makes machine
+// reuse observably invisible.
 //
 // Reset is only legal between Runs (no live workers); the engine
 // panics otherwise.
@@ -197,8 +201,6 @@ func (m *Machine) Reset(seed uint64) {
 	m.runMu.Lock()
 	defer m.runMu.Unlock()
 	m.eng.reset()
-	// Replay NewMachine's derivation order exactly: root, then the
-	// jitter stream, then one child per device.
 	m.root.Reseed(seed ^ 0x5b7a1e4c90d3f821)
 	m.jitter.ReseedFrom(m.root)
 	m.phys.Reset()
@@ -226,12 +228,12 @@ func MustNewMachine(opts Options) *Machine {
 func (m *Machine) Device(dev arch.DeviceID) *gpu.Device { return m.devices[dev] }
 
 // Profile returns the architecture profile the machine was built from.
-func (m *Machine) Profile() arch.Profile { return m.prof }
+func (m *Machine) Profile() arch.Profile { return m.cfg.prof }
 
 // LineSize returns the L2 line size the machine was built with (the
 // cache geometry's, which an Options.CacheCfg override may have set
 // independently of the profile).
-func (m *Machine) LineSize() int { return m.lineSize }
+func (m *Machine) LineSize() int { return m.cfg.cache.LineSize }
 
 // NumGPUs returns the number of GPUs in the box.
 func (m *Machine) NumGPUs() int { return len(m.devices) }
@@ -287,16 +289,16 @@ func (m *Machine) PeerEnabled(src, dst arch.DeviceID) bool {
 // receive frames whose cache region belongs to partition pid mod N,
 // so tenants of different partitions can never share a cache set.
 func (m *Machine) FrameFilter(pid arch.ProcessID) func(uint64) bool {
-	if m.migPartitions <= 1 {
+	parts := m.cfg.mig
+	if parts == 0 {
 		return nil
 	}
-	cfg := m.devices[0].L2().Config()
-	regions := cfg.Sets / cfg.LinesPerPage()
-	if regions < m.migPartitions {
-		regions = m.migPartitions
+	regions := m.cfg.cache.Sets / m.cfg.cache.LinesPerPage()
+	if regions < parts {
+		regions = parts
 	}
-	part := int(pid) % m.migPartitions
-	perPart := regions / m.migPartitions
+	part := int(pid) % parts
+	perPart := regions / parts
 	lo, hi := part*perPart, (part+1)*perPart
 	return func(frame uint64) bool {
 		r := int(frame % uint64(regions))
@@ -304,9 +306,9 @@ func (m *Machine) FrameFilter(pid arch.ProcessID) func(uint64) bool {
 	}
 }
 
-// MIGPartitions reports the configured partition count (0 or 1 means
+// MIGPartitions reports the configured partition count (0 means
 // partitioning is off).
-func (m *Machine) MIGPartitions() int { return m.migPartitions }
+func (m *Machine) MIGPartitions() int { return m.cfg.mig }
 
 // opKind distinguishes event request types.
 type opKind int
@@ -427,7 +429,7 @@ func (w *Worker) Device() arch.DeviceID { return w.dev }
 // Clock reads the cycle counter, charging the read overhead, like the
 // CUDA clock() intrinsic.
 func (w *Worker) Clock() arch.Cycles {
-	w.clock += w.m.lat.ClockRead
+	w.clock += w.m.cfg.prof.Lat.ClockRead
 	return w.clock
 }
 
@@ -437,21 +439,21 @@ func (w *Worker) Now() arch.Cycles { return w.clock }
 
 // Busy advances the worker's clock by n dummy ALU operations.
 func (w *Worker) Busy(n int) {
-	w.clock += arch.Cycles(n) * w.m.lat.ALUOp
+	w.clock += arch.Cycles(n) * w.m.cfg.prof.Lat.ALUOp
 }
 
 // BusyHeavy advances the clock by n "computationally heavy dummy
 // instructions" — the trigonometric busy-wait the trojan uses while
 // transmitting a '0'.
 func (w *Worker) BusyHeavy(n int) {
-	w.clock += arch.Cycles(n) * w.m.lat.HeavyOp
+	w.clock += arch.Cycles(n) * w.m.cfg.prof.Lat.HeavyOp
 }
 
 // SharedWrite models buffering a value in on-SM shared memory (the
 // attacks record timing samples there to keep the measurement path
 // off the L2).
 func (w *Worker) SharedWrite() {
-	w.clock += w.m.lat.SharedMem
+	w.clock += w.m.cfg.prof.Lat.SharedMem
 }
 
 // LoadCG performs an L1-bypassing cached load (__ldcg) of the 8-byte
@@ -565,7 +567,7 @@ func (m *Machine) service(w *Worker, req *request) {
 		// no-op: the park/resume itself is the point
 	case opLoad:
 		lat, _ := m.accessLine(w, req.pa)
-		if home := req.pa.HomeDevice(); m.hasFabric && home != w.dev {
+		if home := req.pa.HomeDevice(); m.cfg.prof.Fabric.Enabled() && home != w.dev {
 			// A single load observes its own port backlog directly.
 			lat += m.topo.ReserveBurst(w.dev, home, 1, w.clock)
 		}
@@ -587,15 +589,15 @@ func (m *Machine) service(w *Worker, req *request) {
 			if lat > maxLat {
 				maxLat = lat
 			}
-			if home := pa.HomeDevice(); m.hasFabric && home != w.dev {
+			if home := pa.HomeDevice(); m.cfg.prof.Fabric.Enabled() && home != w.dev {
 				bursts = addBurst(bursts, home)
 			}
 		}
 		total := maxLat
 		if n := len(req.pas); n > 1 {
-			total += arch.Cycles(n-1) * m.lat.HitII
+			total += arch.Cycles(n-1) * m.cfg.prof.Lat.HitII
 		}
-		total += arch.Cycles(misses) * m.lat.MissII
+		total += arch.Cycles(misses) * m.cfg.prof.Lat.MissII
 		// The warp's remote lines cross the fabric as one burst: the
 		// port backlog delays the probe as a whole, never one line's
 		// measured latency — classification stays clean under load.
@@ -619,12 +621,12 @@ func (m *Machine) service(w *Worker, req *request) {
 			if i == 0 {
 				total += lat
 			} else {
-				total += m.lat.HitII
+				total += m.cfg.prof.Lat.HitII
 				if !hit {
-					total += m.lat.MissII
+					total += m.cfg.prof.Lat.MissII
 				}
 			}
-			if home := pa.HomeDevice(); m.hasFabric && home != w.dev {
+			if home := pa.HomeDevice(); m.cfg.prof.Fabric.Enabled() && home != w.dev {
 				bursts = addBurst(bursts, home)
 			}
 		}
@@ -649,13 +651,13 @@ func (m *Machine) accessLine(w *Worker, pa arch.PA) (arch.Cycles, bool) {
 		panic(fmt.Sprintf("sim: worker %q on %v accessed %v memory without peer access",
 			w.label(), w.dev, home))
 	}
-	hit, _ := m.devices[home].L2().Access(pa &^ arch.PA(m.lineSize-1))
-	lat := m.lat.L2Hit
+	hit, _ := m.devices[home].L2().Access(pa &^ arch.PA(m.cfg.cache.LineSize-1))
+	lat := m.cfg.prof.Lat.L2Hit
 	if !hit {
 		lat += m.devices[home].HBM().ReadLine(pa)
 	}
 	if remote {
-		hop, err := m.topo.Traverse(w.dev, home, m.lineSize)
+		hop, err := m.topo.Traverse(w.dev, home, m.cfg.cache.LineSize)
 		if err != nil {
 			// ErrNotConnected carries no pair identity (it is a
 			// sentinel so Traverse never allocates); add it here.
@@ -663,7 +665,7 @@ func (m *Machine) accessLine(w *Worker, pa arch.PA) (arch.Cycles, bool) {
 		}
 		lat += hop
 		if !hit {
-			lat += m.lat.RemoteMissExtra
+			lat += m.cfg.prof.Lat.RemoteMissExtra
 		}
 	}
 	lat += m.jitterFor(w, home)
@@ -703,10 +705,10 @@ func (m *Machine) jitterFor(w *Worker, home arch.DeviceID) arch.Cycles {
 		}
 		t.recs, t.ev, t.others = kept, now, others
 	}
-	if m.noiseOff {
+	if m.cfg.noiseOff {
 		return 0
 	}
-	// The law of N(0, JitterSigma + contSigmaPer·others) with its
+	// The law of N(0, JitterSigma + ContentionSigmaPer·others) with its
 	// negative tail folded to -j/2 — latencies have a hard floor, so the
 	// mean stays near nominal but dispersion is preserved — rounded to
 	// whole cycles.

@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"spybox/internal/arch"
-	"spybox/internal/nvlink"
+	"spybox/internal/l2cache"
 )
 
 // resetWorkload drives a machine through every event kind — local and
@@ -57,6 +58,8 @@ func TestMachineResetByteIdentical(t *testing.T) {
 		}
 		return &p
 	}
+	contended := profile("v100-dgx2")
+	contended.Lat.ContentionSigmaPer = 3.5
 	cases := []struct {
 		name string
 		opts Options
@@ -65,7 +68,7 @@ func TestMachineResetByteIdentical(t *testing.T) {
 		{"v100-dgx2", Options{Profile: profile("v100-dgx2")}},
 		{"a100-class", Options{Profile: profile("a100-class")}},
 		{"p100-mig", Options{Profile: profile("p100-dgx1"), MIGPartitions: 4}},
-		{"v100-contended", Options{Profile: profile("v100-dgx2"), ContentionSigmaPer: 3.5}},
+		{"v100-contended", Options{Profile: contended}},
 		{"p100-noiseoff", Options{Profile: profile("p100-dgx1"), NoiseOff: true}},
 	}
 	const seed = 0xdecaf
@@ -106,7 +109,7 @@ func TestMachineResetByteIdentical(t *testing.T) {
 }
 
 // TestMachineSlotReusesAfterRelease: once a trial releases the slot,
-// the next same-fingerprint Get lends the kept machine, reset, and its
+// the next Get for the same configuration lends the kept machine, reset, and its
 // run replays the fresh machine's samples exactly.
 func TestMachineSlotReusesAfterRelease(t *testing.T) {
 	var slot MachineSlot
@@ -136,8 +139,8 @@ func TestMachineSlotReusesAfterRelease(t *testing.T) {
 	}
 }
 
-// TestMachineSlotNoDoubleLend: within one trial a second same-
-// fingerprint Get builds its own machine — two live machines never
+// TestMachineSlotNoDoubleLend: within one trial a second Get for the
+// same configuration builds its own machine — two live machines never
 // alias — and the slot keeps lending the first one after Release.
 func TestMachineSlotNoDoubleLend(t *testing.T) {
 	var slot MachineSlot
@@ -160,27 +163,6 @@ func TestMachineSlotNoDoubleLend(t *testing.T) {
 	}
 	if m3 != m1 {
 		t.Fatal("slot dropped its kept machine for a second request")
-	}
-}
-
-func TestMachineSlotUnpoolableTopology(t *testing.T) {
-	topo, err := nvlink.FromProfile(arch.P100DGX1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slot MachineSlot
-	opts := Options{Seed: 1, Topology: topo}
-	m1, err := slot.Get(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot.Release()
-	m2, err := slot.Get(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 == m2 {
-		t.Fatal("machines built from a caller-provided Topology must not be reused")
 	}
 }
 
@@ -214,5 +196,39 @@ func TestMachineSlotFingerprintChange(t *testing.T) {
 		t.Fatal(err)
 	} else if m4 == m1 || m4 == m2 {
 		t.Fatal("slot lent a dropped or mismatched machine")
+	}
+}
+
+// TestMachineSlotSameConfigOtherSpelling: options that spell one
+// configuration differently — a nil Profile or the P100 profile
+// itself, a zero CacheCfg or the profile's own geometry, MIG
+// partitioning off as 0 or as 1 — get the kept machine.
+func TestMachineSlotSameConfigOtherSpelling(t *testing.T) {
+	p100 := arch.P100DGX1()
+	spellings := []Options{
+		{Seed: 9},
+		{Seed: 9, Profile: &p100},
+		{Seed: 9, CacheCfg: l2cache.FromProfile(p100)},
+		{Seed: 9, Profile: &p100, CacheCfg: l2cache.FromProfile(p100), MIGPartitions: 1},
+	}
+	var slot MachineSlot
+	m1, err := slot.Get(spellings[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resetWorkload(t, m1)
+	slot.Release()
+	for i, opts := range spellings[1:] {
+		m, err := slot.Get(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != m1 {
+			t.Fatalf("spelling %d: slot built a new machine for %+v", i+1, opts)
+		}
+		if got := resetWorkload(t, m); !slices.Equal(got, want) {
+			t.Fatalf("spelling %d: reused run diverges from the first", i+1)
+		}
+		slot.Release()
 	}
 }

@@ -26,7 +26,7 @@ func TestSchedulerMatchesNaiveOrder(t *testing.T) {
 				scripts := randomScripts(xrand.New(seed), nw)
 				m := quiet(seed)
 				got := engineOrder(t, m, scripts)
-				want := naiveOrder(scripts, m.lat.ALUOp)
+				want := naiveOrder(scripts, m.cfg.prof.Lat.ALUOp)
 				if !slices.Equal(got, want) {
 					t.Fatalf("engine order diverges from the naive reference:\n got %v\nwant %v", got, want)
 				}

@@ -24,8 +24,11 @@ import (
 // fabric. Identical seeds give identical cycle-for-cycle runs.
 type Machine = sim.Machine
 
-// MachineOptions parameterize machine construction (seed, optional
-// architecture profile, MIG partitions, ...).
+// MachineOptions parameterize machine construction: the seed, an
+// optional architecture profile (nil means p100-dgx1) and L2 geometry
+// override, the noise switch, and MIG partitions. The NVLink topology
+// and the contention noise both come from the profile; to vary the
+// noise, pass a profile copy with its Lat.ContentionSigmaPer changed.
 type MachineOptions = sim.Options
 
 // NewMachine builds a simulated box. A nil Profile means the paper's
