@@ -100,7 +100,8 @@ func NewAttacker(m *sim.Machine, dev, target arch.DeviceID, pages int, thr Thres
 // checkpoint of a's machine: the process is rebound (see
 // cudart.Process.Rebind), everything else is copied. The copy probes
 // the same lines at the same physical addresses, and a and the copy
-// share nothing mutable.
+// share nothing mutable. A nil m detaches the copy, which can then
+// only be rebound.
 func (a *Attacker) Rebind(m *sim.Machine) *Attacker {
 	c := *a
 	c.Proc = a.Proc.Rebind(m)

@@ -55,12 +55,20 @@ func NewProcess(m *sim.Machine, dev arch.DeviceID, seed uint64) (*Process, error
 // checkpoint of p's machine (sim.Machine.Restore): the same PID and
 // device, a clone of p's address space over m's physical memory, and
 // a copy of p's RNG state. p and its copy share nothing mutable, so
-// either may run on without the other seeing it.
+// either may run on without the other seeing it. A nil m detaches the
+// copy: it keeps p's state on no machine, and can only be rebound.
 func (p *Process) Rebind(m *sim.Machine) *Process {
 	c := *p
 	rng := *p.rng
 	c.m, c.rng = m, &rng
-	c.space = p.space.Clone(m.Phys(), m.FrameFilter(p.pid))
+	var (
+		phys  *vmem.PhysMem
+		allow func(uint64) bool
+	)
+	if m != nil {
+		phys, allow = m.Phys(), m.FrameFilter(p.pid)
+	}
+	c.space = p.space.Clone(phys, allow)
 	return &c
 }
 

@@ -126,6 +126,12 @@ type Params struct {
 	// threads into every Hooks callback, so trial-level progress from
 	// concurrent jobs can be told apart. It never influences results.
 	Job string
+	// Memo, when non-nil, shares the attack setups seeded with its
+	// seed among every run handed it (see memo.go); a spybox.Session
+	// passes its own to each experiment. Without one, RunTrials gives
+	// each run a memo of its own. Restored setups are byte-identical
+	// to rebuilt ones, so it never influences results.
+	Memo *SetupMemo
 
 	// slot, when non-nil, keeps this trial worker's machine across its
 	// trials (set by the runner; one slot per trial worker, so a reused
@@ -133,11 +139,6 @@ type Params struct {
 	// byte-identical to fresh construction, reuse never influences
 	// results — the pooled-determinism tests pin this.
 	slot *sim.MachineSlot
-	// memo, when non-nil, shares the attack setups of the run seed
-	// among the run's trials (set by the runner; see memo.go). Restored
-	// setups are byte-identical to rebuilt ones, so it never influences
-	// results either.
-	memo *setupMemo
 }
 
 // ctx resolves the run's context; nil means never cancelled.

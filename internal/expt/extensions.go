@@ -25,12 +25,19 @@ import (
 // (alignment finds no colliding sets; the attack dies before a single
 // bit moves). Trial-decomposed: the two attempts are independent
 // trials; both deliberately seed from the run seed so the only
-// difference between them is the partitioning.
+// difference between them is the partitioning. The stock machine is
+// the run's own, so its attack pair comes from the setup memo.
 func MIG(p Params) (*Result, error) {
 	r := newResult("mig", "MIG-style partitioning defense (Sec. VII)")
 
 	attempt := func(tp Params, partitions int) (aligned bool, detail string, err error) {
-		pair, err := attackPairOn(machineFor(tp, sim.Options{Seed: p.Seed, MIGPartitions: partitions}), p)
+		tp.Seed = p.Seed
+		var pair *attackPair
+		if partitions == 0 {
+			pair, err = setupAttackPair(tp)
+		} else {
+			pair, err = attackPairOn(machineFor(tp, sim.Options{Seed: p.Seed, MIGPartitions: partitions}), tp)
+		}
 		if err != nil {
 			return false, "", err
 		}
@@ -183,18 +190,14 @@ func MultiGPU(p Params) (*Result, error) {
 		// GPU0's fully connected quad.
 		tp := t.Params
 		tp.Seed = p.Seed
-		pair, err := setupAttackPair(tp)
+		// Align only as many pairs as this configuration uses, on the
+		// first trojan sets; the two 4-set configurations share that
+		// alignment through the setup memo.
+		pair, pairs1, err := tp.setup(c.spy1Sets)
 		if err != nil {
 			return mgTrial{}, err
 		}
 		trojan, tSets := pair.trojan, pair.trojanSets
-		// Align only as many pairs as this configuration uses;
-		// alignment walks trojan sets in order, so the first k pairs
-		// match a longer alignment's prefix.
-		pairs1, err := core.AlignChannels(trojan, pair.spy, tSets[:8], pair.spySets, c.spy1Sets)
-		if err != nil {
-			return mgTrial{}, err
-		}
 		branches := []core.Branch{{Spy: pair.spy, Pairs: pairs1}}
 		if c.twoSpies {
 			pages := discoveryPages(pair.m.Profile(), p.Scale)

@@ -3,6 +3,7 @@ package expt
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -14,10 +15,12 @@ import (
 // setup, must be indistinguishable from one on a fresh box. Fig11
 // reuses across trial seeds; Pairs reuses across trials that share
 // the run seed; sec6, armsrace, fabricsweep and multigpu restore one
-// memoized attack setup per run (skipped under -short).
+// memoized attack setup per run (skipped under -short). The session
+// case shares one memo across experiments, as a spybox.Session does.
 //
 // Not t.Parallel(): it flips the package-level poolingDisabled hook.
 func TestPoolingObservablyInvisible(t *testing.T) {
+	t.Run("session", testSessionMemoInvisible)
 	for _, e := range []struct {
 		name  string
 		run   func(Params) (*Result, error)
@@ -78,5 +81,55 @@ func TestPairsReusesMachine(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Fatalf("pairs allocated %d MB at -parallel 1, want under %d MB", got>>20, limit>>20)
+	}
+}
+
+// testSessionMemoInvisible runs the experiments that share the run
+// seed's attack setup in one session — one setup memo handed to every
+// run, as spybox.Session.RunJob does — once in paper order and once in
+// reverse, so each experiment meets the memo both cold and holding
+// every other experiment's entries. Every report must equal the one
+// rendered with pooling off, and the one the experiment renders alone
+// in a fresh session.
+func testSessionMemoInvisible(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eight covert experiments, four times over; skipped under -short")
+	}
+	const seed = 20230612
+	ids := []string{"fig5", "fig7", "fig10", "sec6", "sec7", "mig", "multigpu", "armsrace"}
+	render := func(id string, memo *SetupMemo) []byte {
+		return renderExperiment(t, id, Params{Seed: seed, Scale: Small, Parallel: 2, Memo: memo})
+	}
+	session := func(order []string, disabled bool) map[string][]byte {
+		poolingDisabled = disabled
+		defer func() { poolingDisabled = false }()
+		memo := NewSetupMemo(seed)
+		out := map[string][]byte{}
+		for _, id := range order {
+			out[id] = render(id, memo)
+		}
+		return out
+	}
+	reversed := slices.Clone(ids)
+	slices.Reverse(reversed)
+	want := session(ids, true) // no memo, no reuse: the reference
+	for _, run := range []struct {
+		name string
+		out  map[string][]byte
+	}{
+		{"paper order", session(ids, false)},
+		{"reverse order", session(reversed, false)},
+	} {
+		for _, id := range ids {
+			if !bytes.Equal(run.out[id], want[id]) {
+				t.Errorf("%s, %s: report diverges from the run with pooling off (%d vs %d bytes)",
+					run.name, id, len(run.out[id]), len(want[id]))
+			}
+		}
+	}
+	for _, id := range ids {
+		if got := render(id, NewSetupMemo(seed)); !bytes.Equal(got, want[id]) {
+			t.Errorf("%s alone in a fresh session: report diverges from the run with pooling off", id)
+		}
 	}
 }

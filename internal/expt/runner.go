@@ -77,18 +77,22 @@ func (p Params) parallelism() int {
 // context wins only when no trial failed; the returned error then
 // wraps the context's error.
 //
-// The run's trials share one setup memo (memo.go), dropped when
-// RunTrials returns: condition trials that start from the run seed's
-// attack setup compute it once between them.
+// The run's trials share one setup memo (memo.go): condition trials
+// that start from the run seed's attack setup compute it once between
+// them. It is p.Memo when set (a session's), otherwise a memo of the
+// run's own, dropped when RunTrials returns.
 func RunTrials[T any](p Params, n int, run func(t Trial) (T, error)) ([]T, error) {
-	memo := newSetupMemo(p.Seed)
+	memo := p.Memo
+	if memo == nil {
+		memo = NewSetupMemo(p.Seed)
+	}
 	return runPool(p.ctx(), p.Hooks, p.Job, p.parallelism(), n, func(i int, slot *sim.MachineSlot) (T, error) {
 		tp := p
 		tp.Seed = TrialSeed(p.Seed, i)
 		tp.Parallel = 1
 		tp.Hooks = nil // trials never recursively observe
 		tp.slot = slot // the worker's machine is reused across its trials
-		tp.memo = memo
+		tp.Memo = memo
 		return run(Trial{Index: i, Params: tp})
 	})
 }

@@ -10,6 +10,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"spybox/internal/arch"
 	"spybox/internal/hbm"
@@ -151,15 +152,31 @@ func (d *Device) freeSMs() {
 	d.nextSM = 0
 }
 
-// CopyFrom copies src's L2, HBM and SM occupancy onto d, a device of
-// the same configuration. Outstanding BlockReservations on either
-// device must have been released first: a reservation belongs to the
-// device that placed it.
-func (d *Device) CopyFrom(src *Device) {
-	d.l2.CopyFrom(src.l2)
-	d.mem.CopyFrom(src.mem)
-	copy(d.sms, src.sms)
-	d.nextSM = src.nextSM
+// Checkpoint is a copy of a device's state: a compact copy of its L2
+// (see l2cache.Checkpoint), its HBM row buffer and counters, and SM
+// occupancy. It is never modified after Device.Checkpoint returns.
+type Checkpoint struct {
+	l2     *l2cache.Checkpoint
+	mem    hbm.Stack
+	sms    []SM
+	nextSM int
+}
+
+// Checkpoint copies d's L2, HBM and SM occupancy. Outstanding
+// BlockReservations must have been released first: a reservation
+// belongs to the device that placed it.
+func (d *Device) Checkpoint() *Checkpoint {
+	return &Checkpoint{l2: d.l2.Checkpoint(), mem: *d.mem, sms: slices.Clone(d.sms), nextSM: d.nextSM}
+}
+
+// Restore lays checkpoint cp, taken from a device of the same
+// configuration, onto d. Outstanding BlockReservations on d must have
+// been released first.
+func (d *Device) Restore(cp *Checkpoint) {
+	d.l2.Restore(cp.l2)
+	d.mem.CopyFrom(&cp.mem)
+	copy(d.sms, cp.sms)
+	d.nextSM = cp.nextSM
 }
 
 // ID returns the device's identity.

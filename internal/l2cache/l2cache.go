@@ -340,11 +340,14 @@ func (c *Cache) SetCounters() []SetStats {
 }
 
 // ResetStats clears all counters without disturbing cache contents.
+// The per-set counters always sum to the hits and misses totals, so
+// when both totals are zero there is no per-set counter to clear — the
+// case for every cache a machine has just allocated.
 func (c *Cache) ResetStats() {
-	c.hits, c.misses, c.evictions = 0, 0, 0
-	for i := range c.stats {
-		c.stats[i] = SetStats{}
+	if c.hits != 0 || c.misses != 0 {
+		clear(c.stats)
 	}
+	c.hits, c.misses, c.evictions = 0, 0, 0
 }
 
 // Flush invalidates the entire cache (used between experiment trials;
@@ -374,29 +377,77 @@ func (c *Cache) Reset(parent *xrand.Source) {
 	}
 }
 
-// CopyFrom makes c an exact copy of src, a cache of the same geometry:
-// contents and recency order, fill counts, partition, counters and the
-// replacement RNG's state. Only each set's valid tags are copied; the
-// slots past a set's fill count are never read. c keeps its own
-// arrays, so later accesses to either cache never reach the other.
-func (c *Cache) CopyFrom(src *Cache) {
-	if c.cfg != src.cfg {
-		panic("l2cache: CopyFrom across cache geometries")
-	}
+// Checkpoint is a compact copy of a cache's contents and counters:
+// only the sets that hold a valid line or a non-zero counter are kept.
+// A discovered attack pair occupies a few sets of a whole box's L2s,
+// an aligned channel one device's worth, so a checkpoint is a small
+// fraction of the tag arrays it stands for. It is never modified after
+// Checkpoint returns, so any number of caches may restore from it
+// concurrently.
+type Checkpoint struct {
+	cfg  Config
+	sets []setCheckpoint
+	// tags holds the kept sets' valid tags, set after set in sets'
+	// order, each set's in recency order.
+	tags                    []uint64
+	hits, misses, evictions uint64
+	partWays                int
+	rng                     *xrand.Source // nil when the cache has none
+}
+
+// setCheckpoint is one kept set: its index, fill count and counters.
+type setCheckpoint struct {
+	set   int
+	fill  uint16
+	stats SetStats
+}
+
+// Checkpoint returns a compact copy of c's state: contents and recency
+// order, fill counts, partition, counters and the replacement RNG's
+// state. It shares nothing mutable with c.
+func (c *Cache) Checkpoint() *Checkpoint {
+	cp := &Checkpoint{cfg: c.cfg, hits: c.hits, misses: c.misses, evictions: c.evictions, partWays: c.partWays}
 	ways := c.cfg.Ways
-	for set, n := range src.fill {
-		base := set * ways
-		copy(c.tags[base:base+int(n)], src.tags[base:base+int(n)])
+	for set, n := range c.fill {
+		if n == 0 && c.stats[set] == (SetStats{}) {
+			continue
+		}
+		cp.sets = append(cp.sets, setCheckpoint{set: set, fill: n, stats: c.stats[set]})
+		cp.tags = append(cp.tags, c.tags[set*ways:set*ways+int(n)]...)
 	}
-	copy(c.fill, src.fill)
-	copy(c.stats, src.stats)
-	c.hits, c.misses, c.evictions = src.hits, src.misses, src.evictions
-	c.partWays = src.partWays
-	if src.rng != nil {
+	if c.rng != nil {
+		rng := *c.rng
+		cp.rng = &rng
+	}
+	return cp
+}
+
+// Restore makes c's state an exact copy of checkpoint cp, taken from a
+// cache of the same geometry: every set cp does not keep is empty with
+// zero counters afterwards. c keeps its own arrays, so later accesses
+// to c never reach cp.
+func (c *Cache) Restore(cp *Checkpoint) {
+	if c.cfg != cp.cfg {
+		panic("l2cache: Restore across cache geometries")
+	}
+	c.Flush()
+	c.ResetStats()
+	ways := c.cfg.Ways
+	tags := cp.tags
+	for _, s := range cp.sets {
+		n := int(s.fill)
+		copy(c.tags[s.set*ways:s.set*ways+n], tags[:n])
+		tags = tags[n:]
+		c.fill[s.set] = s.fill
+		c.stats[s.set] = s.stats
+	}
+	c.hits, c.misses, c.evictions = cp.hits, cp.misses, cp.evictions
+	c.partWays = cp.partWays
+	if cp.rng != nil {
 		if c.rng == nil {
 			c.rng = new(xrand.Source)
 		}
-		*c.rng = *src.rng
+		*c.rng = *cp.rng
 	}
 }
 

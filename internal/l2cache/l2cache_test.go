@@ -409,3 +409,73 @@ func TestTinySixtyFourSetProfile(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointRestore: a cache restored from a checkpoint answers an
+// access trace exactly as the checkpointed cache does, with the same
+// per-set and total counters, whatever the restored cache held before.
+// The checkpoint keeps only the sets with a valid line or a counter:
+// a stats reset leaves sets with lines and no counters, a partition
+// flush sets with counters and no lines.
+func TestCheckpointRestore(t *testing.T) {
+	dirty := []struct {
+		name    string
+		prepare func(c *Cache, rng *xrand.Source)
+	}{
+		{"lines-without-counters", func(c *Cache, rng *xrand.Source) {
+			for i := 0; i < 40; i++ {
+				c.Access(arch.PA(rng.Intn(1 << 14)))
+			}
+			c.ResetStats()
+		}},
+		{"counters-without-lines", func(c *Cache, rng *xrand.Source) {
+			for i := 0; i < 40; i++ {
+				c.Access(arch.PA(rng.Intn(1 << 14)))
+			}
+			if err := c.SetPartition(c.Config().Ways / 2); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				c.Access(arch.PA(rng.Intn(1 << 14)))
+			}
+		}},
+	}
+	for _, policy := range []ReplacementPolicy{LRU, RandomRepl} {
+		for _, d := range dirty {
+			t.Run(policy.String()+"/"+d.name, func(t *testing.T) {
+				cfg := tinyConfig()
+				cfg.Policy = policy
+				rng := xrand.New(3)
+				src := MustNew(cfg, xrand.New(1))
+				d.prepare(src, rng)
+				cp := src.Checkpoint()
+				if len(cp.sets) >= cfg.Sets {
+					t.Fatalf("checkpoint keeps %d of %d sets", len(cp.sets), cfg.Sets)
+				}
+
+				dst := MustNew(cfg, xrand.New(2))
+				for i := 0; i < 500; i++ {
+					dst.Access(arch.PA(rng.Intn(1 << 16)))
+				}
+				dst.Restore(cp)
+				gotCounters, wantCounters := dst.SetCounters(), src.SetCounters()
+				for i := range wantCounters {
+					if gotCounters[i] != wantCounters[i] {
+						t.Fatalf("restored set %d counters %+v, want %+v", i, gotCounters[i], wantCounters[i])
+					}
+				}
+				for i := 0; i < 400; i++ {
+					pa := arch.PA(rng.Intn(1 << 14))
+					wantHit, wantSet := src.Access(pa)
+					if hit, set := dst.Access(pa); hit != wantHit || set != wantSet {
+						t.Fatalf("access %d: restored cache (%v, set %d), original (%v, set %d)", i, hit, set, wantHit, wantSet)
+					}
+				}
+				gh, gm, ge := dst.Totals()
+				wh, wm, we := src.Totals()
+				if gh != wh || gm != wm || ge != we {
+					t.Fatalf("totals (%d, %d, %d) after the trace, want (%d, %d, %d)", gh, gm, ge, wh, wm, we)
+				}
+			})
+		}
+	}
+}

@@ -197,6 +197,39 @@ func TestMachineRestoreByteIdentical(t *testing.T) {
 			equalTraces(t, "second restore counters", machineCounters(m), wantCounters)
 		})
 	}
+
+	// A checkpoint keeps only non-empty L2 sets, so one whose devices
+	// are all empty must still empty every set of the target's L2s.
+	t.Run("empty-devices", func(t *testing.T) {
+		cp := MustNewMachine(Options{Seed: seed}).Checkpoint()
+		want := resetWorkload(t, MustNewMachine(Options{Seed: seed}))
+
+		m := MustNewMachine(Options{Seed: seed ^ 0x5a5a5a5a})
+		dirtyForCheckpoint(t, m)
+		m.Restore(cp)
+		for i := 0; i < m.NumGPUs(); i++ {
+			l2 := m.Device(arch.DeviceID(i)).L2()
+			for set := 0; set < l2.Config().Sets; set++ {
+				if n := l2.OccupiedWays(set); n != 0 {
+					t.Fatalf("GPU %d set %d holds %d lines after restoring an empty checkpoint", i, set, n)
+				}
+			}
+			if l2.PartitionWays() != 0 {
+				t.Fatalf("GPU %d keeps a %d-way partition", i, l2.PartitionWays())
+			}
+		}
+		for i, c := range machineCounters(m) {
+			if c != 0 {
+				t.Fatalf("counter %d is %d after restoring an empty checkpoint", i, c)
+			}
+		}
+		got := resetWorkload(t, m)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("restored run diverges from a fresh machine's at access %d: %d vs %d", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestRestoreRejectsOtherConfiguration: a checkpoint only restores

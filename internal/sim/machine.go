@@ -41,27 +41,29 @@ type Options struct {
 	MIGPartitions int
 }
 
-// config is everything that shapes a machine except its seed: the
+// Config is everything that shapes a machine except its seed: the
 // options with every default resolved, so two spellings of one machine
 // (a nil Profile and the P100 profile itself, a zero CacheCfg and the
-// profile's own geometry, MIGPartitions 0 and 1) give equal values. It is comparable, and ==
-// on it is what decides whether a MachineSlot may lend a kept machine
-// and whether a checkpoint may be restored onto one.
-type config struct {
+// profile's own geometry, MIGPartitions 0 and 1) give equal values. It
+// is comparable, and == on it is what decides whether a MachineSlot
+// may lend a kept machine and whether a checkpoint may be restored
+// onto one; callers that share state between machines key it on this
+// value rather than on raw Options.
+type Config struct {
 	prof     arch.Profile
 	cache    l2cache.Config // after the MIG adjustment
 	noiseOff bool
 	mig      int // MIG partition count; 0 when partitioning is off
 }
 
-// config resolves o's defaults into the machine configuration.
-func (o Options) config() (config, error) {
-	c := config{prof: arch.P100DGX1(), cache: o.CacheCfg, noiseOff: o.NoiseOff}
+// Config resolves o's defaults into the machine configuration.
+func (o Options) Config() (Config, error) {
+	c := Config{prof: arch.P100DGX1(), cache: o.CacheCfg, noiseOff: o.NoiseOff}
 	if o.Profile != nil {
 		c.prof = *o.Profile
 	}
 	if err := c.prof.Validate(); err != nil {
-		return config{}, err
+		return Config{}, err
 	}
 	if c.cache == (l2cache.Config{}) {
 		c.cache = l2cache.FromProfile(c.prof)
@@ -79,10 +81,10 @@ func (o Options) config() (config, error) {
 type Machine struct {
 	// cfg is fixed at construction and shared by every trial a reused
 	// machine runs: a MachineSlot reuses a machine only for an equal
-	// config, so Reset(seed) rewinds state derived from the seed and
+	// Config, so Reset(seed) rewinds state derived from the seed and
 	// leaves cfg in place.
 	//spylint:allow resetcomplete the configuration is identical across reuses and restores
-	cfg     config
+	cfg     Config
 	devices []*gpu.Device
 	topo    *nvlink.Topology
 	phys    *vmem.PhysMem
@@ -140,7 +142,7 @@ type touchRec struct {
 // NewMachine builds a machine shaped by opts.Profile (the paper's
 // P100 DGX-1 when nil), seeded with opts.Seed.
 func NewMachine(opts Options) (*Machine, error) {
-	cfg, err := opts.config()
+	cfg, err := opts.Config()
 	if err != nil {
 		return nil, err
 	}
@@ -153,9 +155,9 @@ func NewMachine(opts Options) (*Machine, error) {
 }
 
 // newMachine allocates a machine of configuration cfg. Its seeded
-// state is unset: NewMachine seeds it with Reset, Checkpoint copies it
-// from the source machine.
-func newMachine(cfg config) (*Machine, error) {
+// state is unset until Reset, which NewMachine and MachineSlot.Get
+// call.
+func newMachine(cfg Config) (*Machine, error) {
 	topo, err := nvlink.FromProfile(cfg.prof)
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ func (s *MachineSlot) Get(opts Options) (*Machine, error) {
 	if s == nil || s.lent {
 		return NewMachine(opts)
 	}
-	cfg, err := opts.config()
+	cfg, err := opts.Config()
 	if err != nil {
 		return nil, err
 	}

@@ -139,9 +139,16 @@ type Config struct {
 
 // Session is an opened, validated configuration against which
 // experiments run. Sessions are safe for concurrent Run calls.
+//
+// A session keeps the attack setups its experiments share (the
+// run-seed eviction sets and their alignments, checkpointed) for its
+// whole life, so e.g. fig5, fig7, fig10 and sec6 discover the attack
+// pair once between them. The memo is bounded and goes with the
+// session; it never changes a result byte.
 type Session struct {
 	cfg     Config
 	profile Profile
+	memo    *expt.SetupMemo
 	mu      sync.Mutex // serializes Events delivery
 }
 
@@ -167,7 +174,7 @@ func Open(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spybox: %w", err)
 	}
-	return &Session{cfg: cfg, profile: prof}, nil
+	return &Session{cfg: cfg, profile: prof, memo: expt.NewSetupMemo(cfg.Seed)}, nil
 }
 
 // Config returns a copy of the session's (defaulted) configuration.
@@ -347,7 +354,7 @@ func (s *Session) RunJob(ctx context.Context, job JobID, ids ...string) ([]*Resu
 		e := e
 		p := expt.Params{
 			Seed: s.cfg.Seed, Scale: s.cfg.Scale, Parallel: s.cfg.Parallel, Arch: s.cfg.Arch,
-			Ctx: ctx, Job: string(job),
+			Ctx: ctx, Job: string(job), Memo: s.memo,
 			Hooks: &expt.TrialHooks{
 				Start: func(tag string, i, n int) {
 					s.emit(Event{Kind: TrialStart, Job: JobID(tag), Experiment: e.ID, Title: e.Title,
