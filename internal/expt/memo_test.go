@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"spybox/internal/core"
@@ -11,16 +12,20 @@ import (
 )
 
 // TestSetupMemoSharesOneSetup: condition trials on the memo's seed
-// share one setup, yet each gets its own attackers, and each transmits
-// exactly as on a setup rebuilt from scratch (the memo off). The memo
-// is a session's: a second run handed the same memo builds nothing and
-// restores the first run's entries. The eviction sets are shared
-// read-only and equal the rebuilt ones. Parallel trials restore
-// concurrently, which the race detector checks even under -short.
+// share one setup, yet each gets its own machine and attackers, and
+// each transmits exactly as on a setup rebuilt from scratch (the memo
+// off). The memo is a session's: a second run handed the same memo
+// builds nothing and restores the first run's entries. The eviction
+// sets are shared read-only and equal the rebuilt ones. The three
+// trials wait for each other after setup, so all three hold their
+// setups at once, one per worker: their machines must then differ.
+// Parallel trials restore concurrently, which the race detector checks
+// even under -short.
 //
 // Not t.Parallel(): it flips the package-level poolingDisabled hook.
 func TestSetupMemoSharesOneSetup(t *testing.T) {
 	type out struct {
+		m      *sim.Machine
 		trojan *core.Attacker
 		sets   []core.EvictionSet
 		tx     string
@@ -29,11 +34,17 @@ func TestSetupMemoSharesOneSetup(t *testing.T) {
 	run := func(disabled bool, memo *SetupMemo) []out {
 		poolingDisabled = disabled
 		defer func() { poolingDisabled = false }()
-		p := Params{Seed: seed, Scale: Small, Parallel: 3, Memo: memo}
-		outs, err := RunTrials(p, 3, func(tr Trial) (out, error) {
+		const trials = 3
+		p := Params{Seed: seed, Scale: Small, Parallel: trials, Memo: memo}
+		var inFlight sync.WaitGroup
+		inFlight.Add(trials)
+		outs, err := RunTrials(p, trials, func(tr Trial) (out, error) {
 			tp := tr.Params
 			tp.Seed = p.Seed
 			pair, ch, err := setupChannel(tp, 1)
+			// Every trial arrives, even a failed one, so none waits forever.
+			inFlight.Done()
+			inFlight.Wait()
 			if err != nil {
 				return out{}, err
 			}
@@ -41,7 +52,7 @@ func TestSetupMemoSharesOneSetup(t *testing.T) {
 			if err != nil {
 				return out{}, err
 			}
-			return out{pair.trojan, pair.trojanSets,
+			return out{pair.m, pair.trojan, pair.trojanSets,
 				fmt.Sprint(tx.ReceivedBits, tx.Duration, tx.BitErrors)}, nil
 		})
 		if err != nil {
@@ -71,11 +82,9 @@ func TestSetupMemoSharesOneSetup(t *testing.T) {
 			if !reflect.DeepEqual(got[i].sets, want[i].sets) {
 				t.Errorf("trial %d: memoized eviction sets differ from rebuilt ones", i)
 			}
-			// A worker lends its machine to its next trial, so trials
-			// may see one machine in turn; attackers are never shared.
 			for j := range got[:i] {
-				if got[i].trojan == got[j].trojan || got[i].trojan.Proc == got[j].trojan.Proc {
-					t.Errorf("trials %d and %d share an attacker", j, i)
+				if got[i].m == got[j].m || got[i].trojan == got[j].trojan || got[i].trojan.Proc == got[j].trojan.Proc {
+					t.Errorf("trials %d and %d share a machine or an attacker", j, i)
 				}
 			}
 		}

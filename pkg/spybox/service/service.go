@@ -197,8 +197,8 @@ func normalize(spec spybox.JobSpec) (spybox.JobSpec, error) {
 }
 
 // open opens the Session a spec runs on, delivering its progress
-// events to events. A Session is only a validated Config plus its
-// resolved profile, so every job opens its own.
+// events to events. Every job opens its own Session, so the session's
+// setup memo lives and is freed with the job.
 func open(spec spybox.JobSpec, events func(spybox.Event)) (*spybox.Session, error) {
 	scale, err := spybox.ParseScale(spec.Scale)
 	if err != nil {
